@@ -209,7 +209,6 @@ func drill(fleet []string, args []string) int {
 		corpusDir = fs.String("corpus", "", "extra corpus directory of .jsonl traces (e.g. internal/conformance/testdata)")
 		failover  = fs.Duration("failover-timeout", 30*time.Second, "per-client failover budget")
 		flightOut = fs.String("flight-out", "", "collect each surviving node's flight dump into this directory after the drill")
-		wire      = fs.String("wire", "mixed", "session wire formats: mixed (alternate binary and line-JSON so the kill hits both), binary, or json")
 	)
 	fs.Parse(args)
 	if *killPid <= 0 {
@@ -233,30 +232,12 @@ func drill(fleet []string, args []string) int {
 	ctx := context.Background()
 
 	// Phase 1: open a fleet client per trace and stream the first half.
-	// In the default mixed mode half the sessions ride the binary wire
-	// and half line-JSON, so the SIGKILL migrates streams of both
-	// formats and failover re-negotiation is exercised each way.
 	clients := make(map[string]*server.Client, len(names))
-	binSessions := 0
 	for i, name := range names {
 		tr := traces[name]
-		runCfg := cfg
-		switch *wire {
-		case "json":
-			runCfg.ForceJSON = true
-		case "binary":
-		case "mixed":
-			runCfg.ForceJSON = i%2 == 1
-		default:
-			fmt.Fprintf(os.Stderr, "goldilocksctl drill: unknown -wire %q\n", *wire)
-			return resilience.ExitUsage
-		}
-		c, err := server.DialFleet(ctx, fleet, fmt.Sprintf("drill-%d", i), runCfg)
+		c, err := server.DialFleet(ctx, fleet, fmt.Sprintf("drill-%d", i), cfg)
 		if err != nil {
 			return fail("dialing for %s: %v", name, err)
-		}
-		if c.Binary() {
-			binSessions++
 		}
 		clients[name] = c
 		for j := 0; j < tr.Len()/2; j++ {
@@ -304,8 +285,8 @@ func drill(fleet []string, args []string) int {
 		}
 	}
 
-	fmt.Printf("drill: %d sessions converged, %d divergences, %d failovers (%d binary, %d json wire)\n",
-		len(names)-divergences, divergences, failovers, binSessions, len(names)-binSessions)
+	fmt.Printf("drill: %d sessions converged, %d divergences, %d failovers\n",
+		len(names)-divergences, divergences, failovers)
 	// A divergence is exactly the incident the flight recorders exist
 	// for: make every reachable node keep a local dump before exiting.
 	reason := ""

@@ -18,7 +18,7 @@ func TestIngestSmall(t *testing.T) {
 	}
 	for name, side := range map[string]IngestSide{
 		"local": rep.Local, "local_lockset": rep.LocalLockset,
-		"remote": rep.Remote, "remote_json": rep.RemoteJSON,
+		"remote": rep.Remote,
 	} {
 		if side.Events != 800 {
 			t.Fatalf("%s events = %d, want 800", name, side.Events)

@@ -117,7 +117,8 @@ func DefaultTxnThreads(full bool) []int {
 
 // Txn runs the transactional sweep: for each mix and thread count,
 // threads goroutines (each a distinct detector thread id) issue
-// commitsPerThread read+commit pairs against a fresh engine.
+// commitsPerThread read+commit pairs against a fresh engine. progress,
+// when non-nil, receives one line per point.
 func Txn(threadsList []int, commitsPerThread int, progress func(string)) TxnReport {
 	opts := txnOptions(0)
 	rep := TxnReport{
@@ -137,8 +138,10 @@ func Txn(threadsList []int, commitsPerThread int, progress func(string)) TxnRepo
 		for _, threads := range threadsList {
 			p := txnOnePoint(mix, threads, commitsPerThread)
 			rep.Points = append(rep.Points, p)
-			progress(fmt.Sprintf("txn: %s threads=%d %.0f commits/sec (rung %d)",
-				p.Mix, p.Threads, p.CommitsPerSec, p.GovernorRung))
+			if progress != nil {
+				progress(fmt.Sprintf("txn: %s threads=%d %.0f commits/sec (rung %d)",
+					p.Mix, p.Threads, p.CommitsPerSec, p.GovernorRung))
+			}
 		}
 	}
 	return rep

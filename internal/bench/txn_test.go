@@ -75,3 +75,12 @@ func TestDefaultTxnThreadsReachesThousands(t *testing.T) {
 		}
 	}
 }
+
+// TestTxnNilProgress: a nil progress callback means no progress output,
+// not a panic.
+func TestTxnNilProgress(t *testing.T) {
+	rep := Txn([]int{4}, 2, nil)
+	if len(rep.Points) != len(txnMixes) {
+		t.Fatalf("points = %d, want one per mix (%d)", len(rep.Points), len(txnMixes))
+	}
+}

@@ -16,8 +16,8 @@ import (
 // integrity checking, the same salvage-the-valid-prefix durability
 // story, at a fraction of the bytes and the encode/decode cost. It is
 // both a trace-file format (WriteTraceBin/ReadTraceBin, sniffed by
-// ReadTraceAuto) and the goldilocksd wire format ("goldilocks-bin",
-// negotiated in the handshake — internal/server).
+// ReadTraceAuto) and the goldilocksd session wire format
+// (internal/server).
 //
 // Every frame is
 //
@@ -105,7 +105,8 @@ func AppendFrame(dst []byte, typ byte, body []byte) []byte {
 }
 
 // AppendEventFrame appends one action record frame to dst — the binary
-// counterpart of EncodeRecordSpan — and returns the extended slice. It
+// counterpart of EncodeRecord, plus an optional trace span id (0 for
+// none) — and returns the extended slice. It
 // allocates nothing beyond dst's growth, so a streaming sender reusing
 // dst reaches steady-state zero allocations per event.
 func AppendEventFrame(dst []byte, a Action, span uint64) []byte {

@@ -7,91 +7,60 @@ import (
 	"goldilocks/internal/event"
 )
 
-// The span field is an optional trace annotation riding the stream-v2
-// record envelope; these tests pin its wire compatibility in both
-// directions — spanless readers accept spanned records and vice versa —
-// and that the CRC discipline (checksum over the action body only) is
-// unchanged by its presence.
+// Older line-JSON wire clients stamped an optional "sp" span id into
+// the record envelope, outside the action CRC. These tests pin that a
+// stream file carrying such records still reads in full, and that the
+// CRC discipline (checksum over the action body only) is unchanged by
+// the extra key.
 
-func TestRecordSpanRoundTrip(t *testing.T) {
-	a := event.Acquire(3, 20)
-	line, err := event.EncodeRecordSpan(a, 77)
-	if err != nil {
-		t.Fatal(err)
+// spannedStream writes actions as a stream file whose records each
+// carry an "sp" envelope key, as an old sampling client wrote them.
+func spannedStream(t *testing.T, span string, actions ...event.Action) []byte {
+	t.Helper()
+	out := event.StreamHeaderLine()
+	for _, a := range actions {
+		rec, err := event.EncodeRecord(a)
+		if err != nil {
+			t.Fatal(err)
+		}
+		out = append(out, bytes.Replace(rec, []byte(`,"crc"`), []byte(`,"sp":`+span+`,"crc"`), 1)...)
 	}
-	got, span, ok := event.DecodeRecordSpan(line)
-	if !ok {
-		t.Fatal("spanned record rejected")
-	}
-	if span != 77 {
-		t.Fatalf("span = %d, want 77", span)
-	}
-	if got.Kind != a.Kind || got.Thread != a.Thread || got.Obj != a.Obj {
-		t.Fatalf("action = %v, want %v", got, a)
-	}
-	if !bytes.Contains(line, []byte(`"sp":77`)) {
-		t.Fatalf("span not on the wire: %s", line)
-	}
-}
-
-func TestRecordSpanZeroOmitted(t *testing.T) {
-	// Span 0 means "unsampled" and must not appear on the wire, so
-	// tracing-off daemons emit byte-identical records to pre-span ones.
-	withSpan, err := event.EncodeRecordSpan(event.Write(1, 10, 0), 0)
-	if err != nil {
-		t.Fatal(err)
-	}
-	plain, err := event.EncodeRecord(event.Write(1, 10, 0))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !bytes.Equal(withSpan, plain) {
-		t.Fatalf("span-0 record differs from plain record:\n%s\n%s", withSpan, plain)
-	}
-	if bytes.Contains(plain, []byte(`"sp"`)) {
-		t.Fatalf("sp field present on unsampled record: %s", plain)
-	}
+	return out
 }
 
 func TestRecordSpanBackwardCompatible(t *testing.T) {
-	// Old decoder path (DecodeRecord) accepts spanned records — the span
-	// is simply ignored.
-	line, err := event.EncodeRecordSpan(event.Read(2, 10, 1), 123456)
-	if err != nil {
-		t.Fatal(err)
+	data := spannedStream(t, "123456", event.Acquire(2, 20), event.Read(2, 10, 1), event.Release(2, 20))
+	if !bytes.Contains(data, []byte(`"sp":123456`)) {
+		t.Fatalf("test stream carries no span: %s", data)
 	}
-	a, ok := event.DecodeRecord(line)
-	if !ok {
-		t.Fatal("spanless decoder rejected a spanned record")
+	tr, dropped, err := event.ReadTraceStream(bytes.NewReader(data))
+	if err != nil || dropped != 0 {
+		t.Fatalf("spanned stream: dropped=%d err=%v", dropped, err)
 	}
-	if a.Kind != event.KindRead || a.Thread != 2 {
-		t.Fatalf("action = %v", a)
+	if tr.Len() != 3 || tr.At(1).Kind != event.KindRead || tr.At(1).Thread != 2 {
+		t.Fatalf("spanned stream decoded as %v", tr)
 	}
-
-	// New decoder accepts span-free records as span 0.
 	plain, err := event.EncodeRecord(event.Read(2, 10, 1))
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, span, ok := event.DecodeRecordSpan(plain); !ok || span != 0 {
-		t.Fatalf("plain record: ok=%v span=%d, want ok, 0", ok, span)
+	if bytes.Contains(plain, []byte(`"sp"`)) {
+		t.Fatalf("writer emitted a span key: %s", plain)
 	}
 }
 
 func TestRecordSpanCRCCoversActionOnly(t *testing.T) {
-	// The CRC covers the action body, not the envelope: flipping the span
-	// must not invalidate the checksum (span corruption only misroutes a
-	// latency sample, never a verdict), while flipping the action must.
-	line, err := event.EncodeRecordSpan(event.Release(1, 20), 5)
-	if err != nil {
-		t.Fatal(err)
+	// The CRC covers the action body, not the envelope: a different span
+	// must not invalidate the checksum, while a flipped action must.
+	data := spannedStream(t, "5", event.Acquire(1, 20), event.Release(1, 20))
+	reSpanned := bytes.ReplaceAll(data, []byte(`"sp":5`), []byte(`"sp":9`))
+	tr, dropped, err := event.ReadTraceStream(bytes.NewReader(reSpanned))
+	if err != nil || dropped != 0 || tr.Len() != 2 {
+		t.Fatalf("re-spanned stream: len=%d dropped=%d err=%v", tr.Len(), dropped, err)
 	}
-	reSpanned := bytes.Replace(line, []byte(`"sp":5`), []byte(`"sp":9`), 1)
-	if a, span, ok := event.DecodeRecordSpan(reSpanned); !ok || span != 9 || a.Kind != event.KindRelease {
-		t.Fatalf("re-spanned record: ok=%v span=%d kind=%v", ok, span, a.Kind)
-	}
-	damaged := bytes.Replace(line, []byte(`"t":1`), []byte(`"t":2`), 1)
-	if _, _, ok := event.DecodeRecordSpan(damaged); ok {
-		t.Fatal("action corruption not caught by the record CRC")
+	damaged := bytes.Replace(data, []byte(`"t":1`), []byte(`"t":2`), 1)
+	tr, dropped, err = event.ReadTraceStream(bytes.NewReader(damaged))
+	if err != nil || dropped != 2 || tr.Len() != 0 {
+		t.Fatalf("action corruption not caught by the record CRC: len=%d dropped=%d err=%v", tr.Len(), dropped, err)
 	}
 }

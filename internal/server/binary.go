@@ -11,8 +11,8 @@ import (
 	"goldilocks/internal/event"
 )
 
-// The binary wire protocol reuses internal/event's frame layout (padded
-// uvarint length | type | body | crc32) in both directions. Client to
+// The session wire reuses internal/event's frame layout (padded uvarint
+// length | type | body | crc32) in both directions. Client to
 // server it is exactly the binary trace stream — a header frame, then
 // event frames — plus one-byte control frames; server to client the
 // frame types below carry races, acks, and errors. Races and the final
@@ -27,10 +27,10 @@ const (
 	frameErr  byte = 0x12 // body: the error message string
 )
 
-// Binary control verbs: the one-byte body of an event.FrameCtl frame.
+// Control verbs: the one-byte body of an event.FrameCtl frame.
 const (
-	binCtlFlush byte = 1
-	binCtlClose byte = 2
+	ctlFlush byte = 1 // apply everything sent so far, then ack
+	ctlClose byte = 2 // apply everything, send the final ack, end the connection
 )
 
 // Ack frame flag bits. Solicited marks the reply to a flush/close
@@ -52,43 +52,10 @@ type ackTail struct {
 	Serial    *regiontrack.Summary `json:"serializability,omitempty"`
 }
 
-// wireEncoder abstracts the server-to-client side of one connection so
-// the session worker is format-blind. Implementations buffer; flush
-// pushes to the socket. Write errors are deliberately swallowed until
-// flush, matching the JSON path's best-effort sends.
-type wireEncoder interface {
-	race(wr *wireRace)
-	ack(a *wireAck, solicited bool)
-	// progress volunteers an unsolicited progress report at a batch
-	// boundary. Only the binary protocol has a frame for it; the JSON
-	// encoder must not emit one (an old client's control round trip
-	// would consume it as its reply).
-	progress(applied, races uint64)
-	errMsg(msg string)
-	flush() error
-}
-
-// jsonWire is the original line-JSON downlink.
-type jsonWire struct{ bw *bufio.Writer }
-
-func (w *jsonWire) send(m serverMsg) {
-	b, err := json.Marshal(m)
-	if err != nil {
-		return
-	}
-	w.bw.Write(append(b, '\n'))
-}
-
-func (w *jsonWire) race(wr *wireRace) { w.send(serverMsg{Race: wr}) }
-func (w *jsonWire) ack(a *wireAck, solicited bool) {
-	w.send(serverMsg{Ack: a})
-}
-func (w *jsonWire) progress(applied, races uint64) {} // no unsolicited acks in JSON
-func (w *jsonWire) errMsg(msg string)              { w.send(serverMsg{Err: msg}) }
-func (w *jsonWire) flush() error                   { return w.bw.Flush() }
-
-// binWire is the binary downlink. Frame and body buffers are reused, so
-// the steady-state progress-ack path allocates nothing.
+// binWire is the server-to-client side of one connection. It buffers;
+// flush pushes to the socket. Write errors are deliberately swallowed
+// until flush: sends are best-effort. Frame and body buffers are
+// reused, so the steady-state progress-ack path allocates nothing.
 type binWire struct {
 	bw      *bufio.Writer
 	buf     []byte // frame scratch
@@ -131,6 +98,8 @@ func (w *binWire) ack(a *wireAck, solicited bool) {
 	w.frame(frameAck, body)
 }
 
+// progress volunteers an unsolicited progress report at a batch
+// boundary.
 func (w *binWire) progress(applied, races uint64) {
 	w.ack(&wireAck{Applied: applied, Races: races}, false)
 }
@@ -165,16 +134,4 @@ func decodeAckFrame(body []byte) (ack Ack, solicited, final bool, err error) {
 		ack.Stats, ack.RuleFires, ack.Serial = tail.Stats, tail.RuleFires, tail.Serial
 	}
 	return ack, flags&ackFlagSolicited != 0, flags&ackFlagFinal != 0, nil
-}
-
-// pickWireFormat selects the wire format for a connection from the
-// client's offer: binary when offered, line-JSON otherwise (including
-// the empty offer of every pre-negotiation client).
-func pickWireFormat(offered []string) string {
-	for _, f := range offered {
-		if f == WireFormatBinary {
-			return WireFormatBinary
-		}
-	}
-	return WireFormatJSON
 }

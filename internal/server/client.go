@@ -54,15 +54,10 @@ type Client struct {
 	next    uint64
 	resumed bool
 
-	// bin is true when this connection negotiated the binary wire
-	// format. It is per-connection state: a failover re-negotiates, so
-	// a client can move between a binary-speaking node and a line-JSON
-	// one mid-session (mixed-version fleet).
-	bin    bool
-	encBuf []byte // binary encode scratch, reused across Sends
+	encBuf []byte // event frame encode scratch, reused across Sends
 
-	// Unsolicited progress acks (binary protocol, batched by the
-	// server) land in these watermarks, never in the ack channel.
+	// Unsolicited progress acks (batched by the server) land in these
+	// watermarks, never in the ack channel.
 	progApplied atomic.Uint64
 	progRaces   atomic.Uint64
 
@@ -74,7 +69,7 @@ type Client struct {
 	failovers int
 
 	// tracer, when set (DialConfig.Tracer), samples sent records into
-	// pipeline spans: the span id rides the stream record to the server,
+	// pipeline spans: the span id rides the event frame to the server,
 	// and the client observes its own stages (encode, control RTT).
 	tracer *obs.Tracer
 
@@ -103,80 +98,32 @@ func (c *Client) Resumed() bool { return c.resumed }
 // losing its server (fleet mode).
 func (c *Client) Failovers() int { return c.failovers }
 
-// Binary reports whether the current connection negotiated the binary
-// wire format.
-func (c *Client) Binary() bool { return c.bin }
-
 // Progress returns the server's last volunteered progress watermark
-// (applied actions, races reported). Only the binary protocol batches
-// unsolicited progress acks; under line-JSON this stays at the last
-// solicited ack's values (zero before the first Flush).
+// (applied actions, races reported): the server batches unsolicited
+// progress acks at its batch boundaries.
 func (c *Client) Progress() (applied, races uint64) {
 	return c.progApplied.Load(), c.progRaces.Load()
 }
 
 // startConn installs a fresh connection and starts its read loop.
-func (c *Client) startConn(conn net.Conn, br *bufio.Reader, bin bool) {
+func (c *Client) startConn(conn net.Conn, br *bufio.Reader) {
 	c.conn = conn
-	c.bin = bin
 	c.bw = bufio.NewWriterSize(conn, 64*1024)
 	c.acks = make(chan Ack, 4)
 	c.done = make(chan struct{})
 	c.errOnce = sync.Once{}
 	c.readErr = nil
-	if bin {
-		go c.readLoopBin(br, c.acks, c.done)
-	} else {
-		go c.readLoop(br, c.acks, c.done)
-	}
+	go c.readLoop(br, c.acks, c.done)
 }
 
-// readLoop collects server lines: races into the race list, acks into
-// the ack channel. It closes acks on connection end so waiters fail
-// fast. In fleet mode a verdict re-fired after a failover (the journal
-// suffix is replayed through the restored engine) is recognized by its
-// position+variable key and dropped.
+// readLoop collects server frames: races into the race list, solicited
+// acks (flush/close replies) into the ack channel. Unsolicited batched
+// progress acks only advance the watermark — a control round trip must
+// never consume one as its reply. It closes acks on connection end so
+// waiters fail fast. In fleet mode a verdict re-fired after a failover
+// (the journal suffix is replayed through the restored engine) is
+// recognized by its position+variable key and dropped.
 func (c *Client) readLoop(br *bufio.Reader, acks chan Ack, done chan struct{}) {
-	defer close(done)
-	defer close(acks)
-	for {
-		line, err := readLine(br)
-		if err != nil {
-			c.setErr(io.EOF)
-			return
-		}
-		var m serverMsg
-		if err := json.Unmarshal(line, &m); err != nil {
-			c.setErr(fmt.Errorf("server: bad message: %w", err))
-			return
-		}
-		switch {
-		case m.Err != "":
-			c.setErr(fmt.Errorf("server: %s", m.Err))
-			return
-		case m.Race != nil:
-			if err := c.collectRace(m.Race); err != nil {
-				c.setErr(err)
-				return
-			}
-		case m.Ack != nil:
-			ack := Ack{
-				Applied: m.Ack.Applied, Races: m.Ack.Races,
-				Stats: m.Ack.Stats, RuleFires: m.Ack.RuleFires,
-				Serial: m.Ack.Serial,
-			}
-			c.noteProgress(ack)
-			acks <- ack
-		}
-	}
-}
-
-// readLoopBin is readLoop for a binary connection: race/ack/err frames
-// instead of serverMsg lines. Solicited acks (flush/close replies) go
-// to the ack channel; unsolicited batched progress acks only advance
-// the watermark — a control round trip must never consume one as its
-// reply.
-func (c *Client) readLoopBin(br *bufio.Reader, acks chan Ack, done chan struct{}) {
 	defer close(done)
 	defer close(acks)
 	fr := event.NewFrameReader(br)
@@ -272,33 +219,19 @@ func (c *Client) terminalErr() error {
 // action is journaled first, so a mid-stream node death is survived by
 // reconnecting and replaying.
 func (c *Client) Send(a event.Action) error {
-	var rec []byte
-	var err error
-	switch {
-	case c.bin && c.tracer.Sample():
+	// The reused encode buffer makes the steady-state send path
+	// allocation-free.
+	if c.tracer.Sample() {
 		start := time.Now()
 		c.encBuf = event.AppendEventFrame(c.encBuf[:0], a, c.tracer.NextSpan())
-		rec = c.encBuf
 		c.tracer.Observe(obs.StageClientEncode, time.Since(start))
-	case c.bin:
-		// The reused encode buffer makes the steady-state binary send
-		// path allocation-free.
+	} else {
 		c.encBuf = event.AppendEventFrame(c.encBuf[:0], a, 0)
-		rec = c.encBuf
-	case c.tracer.Sample():
-		start := time.Now()
-		rec, err = event.EncodeRecordSpan(a, c.tracer.NextSpan())
-		c.tracer.Observe(obs.StageClientEncode, time.Since(start))
-	default:
-		rec, err = event.EncodeRecord(a)
-	}
-	if err != nil {
-		return err
 	}
 	if c.fleet != nil {
 		c.journal = append(c.journal, a)
 	}
-	if _, err := c.bw.Write(rec); err != nil {
+	if _, err := c.bw.Write(c.encBuf); err != nil {
 		if c.fleet == nil {
 			return err
 		}
@@ -331,32 +264,13 @@ func (c *Client) Abandon() {
 	<-c.done
 }
 
-// writeCtl writes the control verb in the connection's wire format
-// (buffered; the caller flushes).
-func (c *Client) writeCtl(verb string) error {
-	if c.bin {
-		v := binCtlFlush
-		if verb == ctlClose {
-			v = binCtlClose
-		}
-		_, err := c.bw.Write(event.AppendFrame(nil, event.FrameCtl, []byte{v}))
-		return err
-	}
-	b, err := json.Marshal(ctlMsg{Ctl: verb})
-	if err != nil {
-		return err
-	}
-	_, err = c.bw.Write(append(b, '\n'))
-	return err
-}
-
-func (c *Client) ctlRoundTrip(verb string) (Ack, error) {
+func (c *Client) ctlRoundTrip(verb byte) (Ack, error) {
 	for attempt := 0; ; attempt++ {
 		var start time.Time
 		if c.tracer != nil {
 			start = time.Now()
 		}
-		c.writeCtl(verb)
+		c.bw.Write(event.AppendFrame(nil, event.FrameCtl, []byte{verb}))
 		flushErr := c.bw.Flush()
 		var ack Ack
 		ok := false

@@ -1,16 +1,16 @@
 // Package server implements goldilocksd: a long-running detection
-// service that accepts the checksummed goldilocks-stream wire format
-// over TCP from many concurrent client sessions, runs one core.Engine
-// per session, and pushes race verdicts (with provenance) back to the
-// clients. Sessions survive connection drops and — with a checkpoint
-// directory configured — daemon restarts, via the engine
-// checkpoint/restore machinery in internal/core.
+// service that accepts event streams over TCP from many concurrent
+// client sessions, runs one core.Engine per session, and pushes race
+// verdicts (with provenance) back to the clients. Sessions survive
+// connection drops and — with a checkpoint directory configured —
+// daemon restarts, via the engine checkpoint/restore machinery in
+// internal/core.
 //
-// The wire protocol is line-delimited JSON in both directions; the
-// event records themselves are exactly the checksummed records of the
-// .jsonl trace format (event.EncodeRecord), so a recorded trace file
-// body can be piped to the daemon verbatim. See docs/SERVICE.md for the
-// full protocol and lifecycle story.
+// A connection opens with a one-line JSON hello and welcome; after
+// that both directions speak length-prefixed binary frames: the
+// event.AppendEventFrame stream up, race/ack/error frames down (see
+// binary.go). See docs/SERVICE.md for the full protocol and lifecycle
+// story.
 package server
 
 import (
@@ -27,35 +27,16 @@ import (
 // ProtoName identifies the handshake protocol.
 const ProtoName = "goldilocks-service"
 
-// ProtoVersion is the current protocol version.
-const ProtoVersion = 1
+// ProtoVersion is the current protocol version. Version 2 is the
+// binary-frame session wire; a version-1 client (which may speak
+// line-JSON after the welcome) is refused at the handshake.
+const ProtoVersion = 2
 
-// Wire format names, offered by clients in hello.Formats and selected
-// by servers in welcome.Format. The handshake itself is always
-// line-JSON; the negotiated format governs everything after the
-// welcome. An empty offer or selection means line-JSON — which is how
-// cross-version pairs interoperate: an old server ignores the unknown
-// Formats key and omits Format from its welcome, an old client never
-// offers, and both sides land on WireFormatJSON without either knowing
-// the other predates the negotiation.
-const (
-	// WireFormatJSON is the original line-delimited JSON protocol:
-	// event.EncodeRecord lines up, serverMsg lines down.
-	WireFormatJSON = "goldilocks-json"
-	// WireFormatBinary is the length-prefixed binary protocol: the
-	// event.AppendEventFrame framing up (plus one-byte control frames),
-	// race/ack/err frames down, with batched unsolicited progress acks.
-	WireFormatBinary = "goldilocks-bin"
-)
-
-// hello is the first line a client sends. Formats lists the wire
-// formats the client can speak beyond the implied line-JSON, in
-// preference order.
+// hello is the first line a client sends.
 type hello struct {
-	Proto   string   `json:"proto"`
-	Version int      `json:"version"`
-	Session string   `json:"session"`
-	Formats []string `json:"formats,omitempty"`
+	Proto   string `json:"proto"`
+	Version int    `json:"version"`
+	Session string `json:"session"`
 }
 
 // welcome is the server's reply to a hello. Next is the number of
@@ -71,23 +52,7 @@ type welcome struct {
 	Next     uint64 `json:"next"`
 	NotOwner bool   `json:"not_owner,omitempty"`
 	Owner    string `json:"owner,omitempty"`
-	// Format is the wire format the server selected from the client's
-	// offer; empty means line-JSON (see WireFormatJSON).
-	Format string `json:"format,omitempty"`
 }
-
-// ctlMsg is a client control line interleaved with event records.
-// Records and controls are distinguished by the "ctl" key, which event
-// records never carry.
-type ctlMsg struct {
-	Ctl string `json:"ctl"`
-}
-
-// Control verbs.
-const (
-	ctlFlush = "flush" // apply everything sent so far, then ack
-	ctlClose = "close" // apply everything, send the final ack, end session connection
-)
 
 // wireRace is a race verdict pushed to the client, carrying enough to
 // rebuild the detect.Race a local engine would have returned: the
@@ -103,25 +68,18 @@ type wireRace struct {
 	Prov    *obs.Provenance `json:"prov,omitempty"`
 }
 
-// wireAck reports session progress. The server sends one in response to
-// every flush and close control; Final marks the close ack, which also
-// carries the engine's counters.
+// wireAck reports session progress. The server sends a solicited one
+// in response to every flush and close control; Final marks the close
+// ack, which also carries the engine's counters (see ackTail).
 type wireAck struct {
-	Applied   uint64      `json:"applied"`
-	Races     uint64      `json:"races"`
-	Final     bool        `json:"final,omitempty"`
-	Stats     *core.Stats `json:"stats,omitempty"`
-	RuleFires []uint64    `json:"rule_fires,omitempty"`
+	Applied   uint64
+	Races     uint64
+	Final     bool
+	Stats     *core.Stats
+	RuleFires []uint64
 	// Serial is the serializability summary, present on the final ack
 	// of sessions running under Config.Serializability.
-	Serial *regiontrack.Summary `json:"serializability,omitempty"`
-}
-
-// serverMsg is one server-to-client line: exactly one field is set.
-type serverMsg struct {
-	Race *wireRace `json:"race,omitempty"`
-	Ack  *wireAck  `json:"ack,omitempty"`
-	Err  string    `json:"error,omitempty"`
+	Serial *regiontrack.Summary
 }
 
 // encodeRace converts an engine verdict to its wire form. pos is the

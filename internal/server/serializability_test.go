@@ -1,7 +1,6 @@
 package server_test
 
 import (
-	"context"
 	"reflect"
 	"testing"
 
@@ -45,16 +44,12 @@ func wantSummary(tr *event.Trace) regiontrack.Summary {
 }
 
 // streamSerial streams tr through a fresh session and returns the final
-// ack. forceJSON pins the connection to line-JSON so both wire formats'
-// Serial plumbing is exercised.
-func streamSerial(t *testing.T, addr, session string, tr *event.Trace, forceJSON bool) server.Ack {
+// ack.
+func streamSerial(t *testing.T, addr, session string, tr *event.Trace) server.Ack {
 	t.Helper()
-	c, err := server.DialContext(context.Background(), addr, session, server.DialConfig{ForceJSON: forceJSON})
+	c, err := server.Dial(addr, session)
 	if err != nil {
 		t.Fatalf("dial: %v", err)
-	}
-	if c.Binary() == forceJSON {
-		t.Fatalf("negotiated binary=%v with forceJSON=%v", c.Binary(), forceJSON)
 	}
 	for i := 0; i < tr.Len(); i++ {
 		if err := c.Send(tr.At(i)); err != nil {
@@ -71,8 +66,8 @@ func streamSerial(t *testing.T, addr, session string, tr *event.Trace, forceJSON
 // TestSerializabilityFinalAck runs a Serializability daemon and checks
 // that the final ack of each session carries exactly the summary an
 // in-process RegionTrack checker produces — non-serializable schedules
-// flagged with their witnesses, serializable ones vouched for — over
-// both wire formats.
+// flagged with their witnesses, serializable ones vouched for. The
+// summary rides the final ack frame's JSON tail.
 func TestSerializabilityFinalAck(t *testing.T) {
 	srv, err := server.New("127.0.0.1:0", server.Config{Serializability: true})
 	if err != nil {
@@ -89,28 +84,23 @@ func TestSerializabilityFinalAck(t *testing.T) {
 		{"disjoint", disjointTxnTrace(), true},
 	}
 	for _, tc := range cases {
-		for _, forceJSON := range []bool{false, true} {
-			name := tc.name + "-bin"
-			if forceJSON {
-				name = tc.name + "-json"
+		name := tc.name + "-bin"
+		t.Run(name, func(t *testing.T) {
+			ack := streamSerial(t, srv.Addr(), "serial-"+name, tc.tr)
+			if ack.Serial == nil {
+				t.Fatal("final ack carries no serializability summary")
 			}
-			t.Run(name, func(t *testing.T) {
-				ack := streamSerial(t, srv.Addr(), "serial-"+name, tc.tr, forceJSON)
-				if ack.Serial == nil {
-					t.Fatal("final ack carries no serializability summary")
-				}
-				if ack.Serial.Serializable != tc.serializable {
-					t.Fatalf("serializable=%v, want %v (summary %+v)",
-						ack.Serial.Serializable, tc.serializable, ack.Serial)
-				}
-				if want := wantSummary(tc.tr); !reflect.DeepEqual(*ack.Serial, want) {
-					t.Fatalf("summary diverged from in-process checker\nremote: %+v\nlocal:  %+v", *ack.Serial, want)
-				}
-				if !tc.serializable && ack.Serial.ViolationTotal == 0 {
-					t.Fatal("non-serializable schedule reported zero violations")
-				}
-			})
-		}
+			if ack.Serial.Serializable != tc.serializable {
+				t.Fatalf("serializable=%v, want %v (summary %+v)",
+					ack.Serial.Serializable, tc.serializable, ack.Serial)
+			}
+			if want := wantSummary(tc.tr); !reflect.DeepEqual(*ack.Serial, want) {
+				t.Fatalf("summary diverged from in-process checker\nremote: %+v\nlocal:  %+v", *ack.Serial, want)
+			}
+			if !tc.serializable && ack.Serial.ViolationTotal == 0 {
+				t.Fatal("non-serializable schedule reported zero violations")
+			}
+		})
 	}
 }
 

@@ -188,10 +188,9 @@ type session struct {
 
 // item is one unit of session work: an event record or a control token.
 type item struct {
-	a      event.Action
-	ctl    string          // "" for records
-	errMsg string          // with ctl == "err"
-	ckpt   chan ckptResult // with ctl == ctlCkpt: reply channel
+	a    event.Action
+	ctl  byte            // 0 for records, else ctlFlush or ctlCkpt
+	ckpt chan ckptResult // with ctl == ctlCkpt: reply channel
 
 	span uint64    // nonzero: this record is a sampled trace span
 	enq  time.Time // enqueue time, set only for sampled records
@@ -199,8 +198,9 @@ type item struct {
 
 // ctlCkpt is an internal control item: the session worker checkpoints
 // the engine between batches and replies on the item's channel. It is
-// how a live session is checkpointed with zero verdicts lost.
-const ctlCkpt = "ckpt"
+// how a live session is checkpointed with zero verdicts lost. It never
+// appears on the wire.
+const ctlCkpt byte = 0x80
 
 // ckptResult is the session worker's reply to a ctlCkpt item.
 type ckptResult struct {
@@ -213,6 +213,16 @@ func (s *session) setQueue(q chan item) {
 	s.qmu.Lock()
 	s.queue = q
 	s.queueClosed = false
+	s.qmu.Unlock()
+}
+
+// clearQueue drops q as the session's queue, unless a later attach has
+// already installed its own.
+func (s *session) clearQueue(q chan item) {
+	s.qmu.Lock()
+	if s.queue == q {
+		s.queue = nil
+	}
 	s.qmu.Unlock()
 }
 
@@ -466,12 +476,18 @@ func (s *Server) unregisterSessionMetrics(id string) {
 	}
 }
 
-func (s *Server) detach(sess *session) {
+// release ends conn's claim on sess, freeing the session for the next
+// attach. It clears only what conn still owns, so a late call — the
+// deferred one after a close already released — cannot clobber a fast
+// re-attach by another connection.
+func (s *Server) release(sess *session, conn net.Conn, queue chan item) {
+	sess.clearQueue(queue)
 	s.mu.Lock()
-	sess.attached = false
-	sess.conn = nil
+	if sess.conn == conn {
+		sess.attached = false
+		sess.conn = nil
+	}
 	s.mu.Unlock()
-	sess.setQueue(nil)
 }
 
 func (s *Server) dropConn(conn net.Conn) {
@@ -481,11 +497,11 @@ func (s *Server) dropConn(conn net.Conn) {
 }
 
 // handleConn speaks the protocol on one connection: handshake, stream
-// header, then records and controls. Decoded work goes to a bounded
-// queue drained by the session worker; when the queue is full this
-// reader blocks, which is the backpressure path (the producer's writes
-// stall on TCP flow control rather than the daemon buffering without
-// bound).
+// header frame, then event and control frames. Decoded work goes to a
+// bounded queue drained by the session worker; when the queue is full
+// this reader blocks, which is the backpressure path (the producer's
+// writes stall on TCP flow control rather than the daemon buffering
+// without bound).
 func (s *Server) handleConn(conn net.Conn) {
 	defer s.wg.Done()
 	defer conn.Close()
@@ -519,14 +535,13 @@ func (s *Server) handleConn(conn net.Conn) {
 		return
 	}
 	if h.Version != ProtoVersion {
-		writeWelcome(welcome{Error: fmt.Sprintf("unsupported protocol version %d", h.Version)})
+		writeWelcome(welcome{Error: fmt.Sprintf("unsupported protocol version %d (want %d)", h.Version, ProtoVersion)})
 		return
 	}
 	if !validSessionID(h.Session) {
 		writeWelcome(welcome{Error: "invalid session id (want [A-Za-z0-9._-]{1,64})"})
 		return
 	}
-	format := pickWireFormat(h.Formats)
 	sess, existed, err := s.attach(h.Session, conn)
 	if err != nil {
 		var noe *notOwnerError
@@ -541,50 +556,28 @@ func (s *Server) handleConn(conn net.Conn) {
 		writeWelcome(welcome{Error: err.Error()})
 		return
 	}
-	defer s.detach(sess)
-	w := welcome{OK: true, Resumed: existed, Next: sess.applied.Load()}
-	if format == WireFormatBinary {
-		// Named only when it deviates from the default, so the welcome a
-		// pre-negotiation client sees is byte-identical to before.
-		w.Format = format
-	}
-	writeWelcome(w)
-	s.cfg.Logger.Info("session attached", "component", "server", "session", sess.id,
-		"resumed", existed, "next", sess.applied.Load(), "format", format)
-	s.flight("attach", sess.id, fmt.Sprintf("resumed=%v next=%d format=%s", existed, sess.applied.Load(), format))
-
-	var enc wireEncoder
-	var frames *event.FrameReader
-	if format == WireFormatBinary {
-		enc = &binWire{bw: bw}
-		frames = event.NewFrameReader(br)
-		// The client opens its stream with the binary header frame.
-		typ, body, err := frames.Next()
-		if err != nil || typ != event.FrameHeader {
-			enc.errMsg(fmt.Sprintf("expected binary stream header frame, got %v", err))
-			enc.flush()
-			return
-		}
-		if err := event.CheckBinHeader(body); err != nil {
-			enc.errMsg(err.Error())
-			enc.flush()
-			return
-		}
-	} else {
-		enc = &jsonWire{bw: bw}
-		// The client opens its stream with the standard trace header.
-		line, err = readLine(br)
-		if err != nil {
-			return
-		}
-		if err := event.CheckStreamHeader(line); err != nil {
-			enc.errMsg(err.Error())
-			enc.flush()
-			return
-		}
-	}
-
 	queue := make(chan item, s.cfg.Queue)
+	defer s.release(sess, conn, queue)
+	writeWelcome(welcome{OK: true, Resumed: existed, Next: sess.applied.Load()})
+	s.cfg.Logger.Info("session attached", "component", "server", "session", sess.id,
+		"resumed", existed, "next", sess.applied.Load())
+	s.flight("attach", sess.id, fmt.Sprintf("resumed=%v next=%d", existed, sess.applied.Load()))
+
+	enc := &binWire{bw: bw}
+	frames := event.NewFrameReader(br)
+	// The client opens its stream with the binary header frame.
+	typ, body, err := frames.Next()
+	if err != nil || typ != event.FrameHeader {
+		enc.errMsg(fmt.Sprintf("expected binary stream header frame, got %v", err))
+		enc.flush()
+		return
+	}
+	if err := event.CheckBinHeader(body); err != nil {
+		enc.errMsg(err.Error())
+		enc.flush()
+		return
+	}
+
 	sess.setQueue(queue)
 	// Seed the governor watermarks before the worker starts so a
 	// restored or promoted session's pre-existing rung/quarantine state
@@ -594,85 +587,50 @@ func (s *Server) handleConn(conn net.Conn) {
 	workerDone := make(chan struct{})
 	go s.sessionWorker(sess, queue, enc, workerDone)
 
-	// closeQueue marks the queue closed (so admin tryEnqueue stops
-	// delivering) before closing the channel the worker drains.
-	closeQueue := func() {
-		sess.markQueueClosed()
-		close(queue)
-		<-workerDone
-	}
-	if format == WireFormatBinary {
-		s.readFrames(sess, frames, queue, closeQueue)
-		return
-	}
-	for {
-		line, err := readLine(br)
-		if err != nil {
-			// Connection dropped without a close control: the session
-			// stays resumable.
-			closeQueue()
-			s.cfg.Logger.Info("session connection lost", "component", "server",
-				"session", sess.id, "applied", sess.applied.Load())
-			s.flight("detach", sess.id, fmt.Sprintf("connection lost at %d applied", sess.applied.Load()))
-			return
-		}
-		var ctl ctlMsg
-		if err := json.Unmarshal(line, &ctl); err == nil && ctl.Ctl != "" {
-			switch ctl.Ctl {
-			case ctlFlush:
-				queue <- item{ctl: ctlFlush}
-				continue
-			case ctlClose:
-				queue <- item{ctl: ctlClose}
-				closeQueue()
-				s.cfg.Logger.Info("session closed", "component", "server", "session", sess.id,
-					"applied", sess.applied.Load(), "races", sess.races.Load())
-				s.flight("close", sess.id, fmt.Sprintf("%d applied, %d races", sess.applied.Load(), sess.races.Load()))
-				return
-			default:
-				queue <- item{ctl: "err", errMsg: fmt.Sprintf("unknown control %q", ctl.Ctl)}
-				closeQueue()
-				return
-			}
-		}
-		a, span, ok := event.DecodeRecordSpan(line)
-		if !ok {
-			queue <- item{ctl: "err", errMsg: fmt.Sprintf("corrupt event record (checksum or syntax): %.120q", line)}
-			closeQueue()
-			return
-		}
-		it := item{a: a, span: span}
-		if span == 0 && s.cfg.Tracer.Sample() {
-			// Untraced client: sample server-side so the queue/apply/
-			// flush histograms still fill in.
-			it.span = s.cfg.Tracer.NextSpan()
-		}
-		if it.span != 0 {
-			it.enq = time.Now()
-		}
-		queue <- it
+	closed, errMsg := s.readFrames(sess, frames, queue)
+	// Mark the queue closed (so admin tryEnqueue stops delivering)
+	// before closing the channel, then wait for the worker to drain it.
+	// From here on the engine is quiescent and this goroutine owns enc.
+	sess.markQueueClosed()
+	close(queue)
+	<-workerDone
+	switch {
+	case closed:
+		// Record the close and release the session before the final ack
+		// goes out: a client that returns from Close must find the
+		// session free for its next attach, drop, or scrape.
+		ack := finalAck(sess)
+		s.cfg.Logger.Info("session closed", "component", "server", "session", sess.id,
+			"applied", ack.Applied, "races", ack.Races)
+		s.flight("close", sess.id, fmt.Sprintf("%d applied, %d races", ack.Applied, ack.Races))
+		s.release(sess, conn, queue)
+		enc.ack(ack, true)
+		enc.flush()
+	case errMsg != "":
+		s.release(sess, conn, queue)
+		enc.errMsg(errMsg)
+		enc.flush()
+	default:
+		// Connection dropped without a close control: the session stays
+		// resumable.
+		s.cfg.Logger.Info("session connection lost", "component", "server",
+			"session", sess.id, "applied", sess.applied.Load())
+		s.flight("detach", sess.id, fmt.Sprintf("connection lost at %d applied", sess.applied.Load()))
 	}
 }
 
-// readFrames is the binary-protocol ingest loop: the frame-stream
-// counterpart of handleConn's line loop, with identical queue,
-// control, and teardown semantics.
-func (s *Server) readFrames(sess *session, frames *event.FrameReader, queue chan item, closeQueue func()) {
+// readFrames is the ingest loop: it decodes event frames into the
+// session queue and handles control verbs until the stream ends. It
+// reports how: closed for a close control, a nonempty errMsg for a
+// protocol error, neither when the connection dropped.
+func (s *Server) readFrames(sess *session, frames *event.FrameReader, queue chan item) (closed bool, errMsg string) {
 	for {
 		typ, body, err := frames.Next()
+		if err == io.EOF {
+			return false, ""
+		}
 		if err != nil {
-			if err == io.EOF {
-				// Connection dropped without a close control: the session
-				// stays resumable.
-				closeQueue()
-				s.cfg.Logger.Info("session connection lost", "component", "server",
-					"session", sess.id, "applied", sess.applied.Load())
-				s.flight("detach", sess.id, fmt.Sprintf("connection lost at %d applied", sess.applied.Load()))
-				return
-			}
-			queue <- item{ctl: "err", errMsg: fmt.Sprintf("corrupt event frame: %v", err)}
-			closeQueue()
-			return
+			return false, fmt.Sprintf("corrupt event frame: %v", err)
 		}
 		switch typ {
 		case event.FrameCtl:
@@ -681,27 +639,17 @@ func (s *Server) readFrames(sess *session, frames *event.FrameReader, queue chan
 				verb = body[0]
 			}
 			switch verb {
-			case binCtlFlush:
+			case ctlFlush:
 				queue <- item{ctl: ctlFlush}
-				continue
-			case binCtlClose:
-				queue <- item{ctl: ctlClose}
-				closeQueue()
-				s.cfg.Logger.Info("session closed", "component", "server", "session", sess.id,
-					"applied", sess.applied.Load(), "races", sess.races.Load())
-				s.flight("close", sess.id, fmt.Sprintf("%d applied, %d races", sess.applied.Load(), sess.races.Load()))
-				return
+			case ctlClose:
+				return true, ""
 			default:
-				queue <- item{ctl: "err", errMsg: fmt.Sprintf("unknown binary control %d", verb)}
-				closeQueue()
-				return
+				return false, fmt.Sprintf("unknown control %d", verb)
 			}
 		case event.FrameEvent:
-			a, span, derr := event.DecodeEventFrame(body)
-			if derr != nil {
-				queue <- item{ctl: "err", errMsg: fmt.Sprintf("corrupt event frame: %v", derr)}
-				closeQueue()
-				return
+			a, span, err := event.DecodeEventFrame(body)
+			if err != nil {
+				return false, fmt.Sprintf("corrupt event frame: %v", err)
 			}
 			it := item{a: a, span: span}
 			if span == 0 && s.cfg.Tracer.Sample() {
@@ -714,25 +662,40 @@ func (s *Server) readFrames(sess *session, frames *event.FrameReader, queue chan
 			}
 			queue <- it
 		default:
-			queue <- item{ctl: "err", errMsg: fmt.Sprintf("unexpected frame type 0x%02x", typ)}
-			closeQueue()
-			return
+			return false, fmt.Sprintf("unexpected frame type 0x%02x", typ)
 		}
 	}
 }
 
+// finalAck is the reply to a close control: progress plus the engine
+// counters, rule fires, and (for serializability sessions) the
+// checker's summary. The engine must be quiescent.
+func finalAck(sess *session) *wireAck {
+	stats := sess.eng.Stats()
+	fires := sess.tel.RuleFires()
+	ack := &wireAck{
+		Applied: sess.applied.Load(), Races: sess.races.Load(),
+		Final: true, Stats: &stats, RuleFires: fires[:],
+	}
+	if sess.rt != nil {
+		sum := sess.rt.Summarize()
+		ack.Serial = &sum
+	}
+	return ack
+}
+
 // sessionWorker drains the ingest queue, applies actions to the
 // session engine in batches, and pushes verdicts and acks back to the
-// client through the connection's negotiated wire encoder. It is the
-// only goroutine touching the engine or the encoder while attached.
-func (s *Server) sessionWorker(sess *session, queue chan item, enc wireEncoder, done chan struct{}) {
+// client. It is the only goroutine touching the engine or the encoder
+// while attached.
+func (s *Server) sessionWorker(sess *session, queue chan item, enc *binWire, done chan struct{}) {
 	defer close(done)
 	sinceFlush := 0
 	tracedInBatch := false
 	// flush pushes buffered verdicts to the client; when the batch held
 	// a traced record, the flush latency lands in the verdict_flush
 	// histogram — on whichever path drained it (batch boundary, idle
-	// queue, or a client flush/close control).
+	// queue, a flush control, or the worker's exit).
 	flush := func() {
 		if tracedInBatch {
 			start := time.Now()
@@ -744,9 +707,10 @@ func (s *Server) sessionWorker(sess *session, queue chan item, enc wireEncoder, 
 		}
 		sinceFlush = 0
 	}
+	defer flush()
 	for it := range queue {
 		switch it.ctl {
-		case "":
+		case 0:
 			traced := it.span != 0
 			var applyStart time.Time
 			var firesBefore [obs.NumRules + 1]uint64
@@ -789,9 +753,9 @@ func (s *Server) sessionWorker(sess *session, queue chan item, enc wireEncoder, 
 			n := sess.applied.Add(1)
 			sinceFlush++
 			if sinceFlush >= s.cfg.Batch || len(queue) == 0 {
-				// Batched progress ack: the binary protocol volunteers the
-				// applied watermark with each batch flush, so clients track
-				// progress without control round trips (no-op under JSON).
+				// Batched progress ack: the server volunteers the applied
+				// watermark with each batch flush, so clients track
+				// progress without control round trips.
 				enc.progress(n, sess.races.Load())
 				flush()
 				s.observeGovernor(sess)
@@ -810,22 +774,6 @@ func (s *Server) sessionWorker(sess *session, queue chan item, enc wireEncoder, 
 			it.ckpt <- ckptResult{data: data, applied: sess.applied.Load(), err: err}
 		case ctlFlush:
 			enc.ack(&wireAck{Applied: sess.applied.Load(), Races: sess.races.Load()}, true)
-			flush()
-		case ctlClose:
-			stats := sess.eng.Stats()
-			fires := sess.tel.RuleFires()
-			ack := &wireAck{
-				Applied: sess.applied.Load(), Races: sess.races.Load(),
-				Final: true, Stats: &stats, RuleFires: fires[:],
-			}
-			if sess.rt != nil {
-				sum := sess.rt.Summarize()
-				ack.Serial = &sum
-			}
-			enc.ack(ack, true)
-			flush()
-		case "err":
-			enc.errMsg(it.errMsg)
 			flush()
 		}
 	}

@@ -11,6 +11,7 @@ import (
 	"strings"
 	"sync"
 	"testing"
+	"time"
 
 	"goldilocks/internal/conformance"
 	"goldilocks/internal/core"
@@ -268,7 +269,8 @@ func TestSessionExclusive(t *testing.T) {
 }
 
 // TestRejectsBadHandshake covers the protocol guards: wrong protocol
-// name, wrong version, and invalid session ids are all refused with an
+// name, wrong version (including a version-1 client, whose stream
+// could be line-JSON), and invalid session ids are all refused with an
 // explanatory welcome.
 func TestRejectsBadHandshake(t *testing.T) {
 	srv, err := server.New("127.0.0.1:0", server.Config{})
@@ -278,9 +280,10 @@ func TestRejectsBadHandshake(t *testing.T) {
 	defer srv.Close()
 
 	for name, helloLine := range map[string]string{
-		"wrong-proto":   `{"proto":"nope","version":1,"session":"a"}`,
+		"wrong-proto":   `{"proto":"nope","version":2,"session":"a"}`,
 		"wrong-version": `{"proto":"goldilocks-service","version":99,"session":"a"}`,
-		"bad-session":   `{"proto":"goldilocks-service","version":1,"session":"../escape"}`,
+		"version-1":     `{"proto":"goldilocks-service","version":1,"session":"a"}`,
+		"bad-session":   `{"proto":"goldilocks-service","version":2,"session":"../escape"}`,
 	} {
 		conn, err := net.Dial("tcp", srv.Addr())
 		if err != nil {
@@ -305,8 +308,8 @@ func TestRejectsBadHandshake(t *testing.T) {
 	}
 }
 
-// TestCorruptRecordReported requires a checksum-corrupt event record
-// to be reported as a protocol error, not silently applied or dropped.
+// TestCorruptRecordReported requires a checksum-corrupt event frame to
+// be reported as a protocol error, not silently applied or dropped.
 func TestCorruptRecordReported(t *testing.T) {
 	srv, err := server.New("127.0.0.1:0", server.Config{})
 	if err != nil {
@@ -319,19 +322,23 @@ func TestCorruptRecordReported(t *testing.T) {
 		t.Fatalf("dial: %v", err)
 	}
 	defer conn.Close()
+	conn.SetDeadline(time.Now().Add(10 * time.Second))
 	br := bufio.NewReader(conn)
-	fmt.Fprintf(conn, `{"proto":"goldilocks-service","version":1,"session":"corrupt"}`+"\n")
+	fmt.Fprintf(conn, `{"proto":"goldilocks-service","version":%d,"session":"corrupt"}`+"\n", server.ProtoVersion)
 	if _, err := br.ReadString('\n'); err != nil {
 		t.Fatalf("welcome: %v", err)
 	}
-	conn.Write(event.StreamHeaderLine())
-	fmt.Fprintf(conn, `{"a":{"kind":"read","t":1,"o":1},"crc":"deadbeef"}`+"\n")
-	line, err := br.ReadString('\n')
+	frame := event.AppendEventFrame(nil, event.Read(1, 1, 0), 0)
+	frame[len(frame)-1] ^= 0xff // break the frame CRC
+	conn.Write(append(event.BinHeaderFrame(), frame...))
+	// Nothing was applied, so the server's only reply is the error
+	// frame, whose body is the message.
+	_, body, err := event.NewFrameReader(br).Next()
 	if err != nil {
 		t.Fatalf("reading error reply: %v", err)
 	}
-	if !strings.Contains(line, "corrupt") {
-		t.Fatalf("expected corrupt-record error, got %q", line)
+	if !strings.Contains(string(body), "corrupt") {
+		t.Fatalf("expected corrupt-frame error, got %q", body)
 	}
 }
 

@@ -1,8 +1,6 @@
 package server
 
 import (
-	"bufio"
-	"bytes"
 	"context"
 	"encoding/json"
 	"net"
@@ -10,8 +8,6 @@ import (
 	"testing"
 	"time"
 
-	"goldilocks/internal/conformance"
-	"goldilocks/internal/core"
 	"goldilocks/internal/event"
 	"goldilocks/internal/scenarios"
 )
@@ -29,241 +25,8 @@ func racyScenario(t *testing.T) scenarios.Scenario {
 	return scenarios.Scenario{}
 }
 
-// streamWith streams sc through a fresh session with the given dial
-// config and checks verdict parity plus the negotiated format.
-func streamWith(t *testing.T, addr, session string, cfg DialConfig, wantBin bool) {
-	t.Helper()
-	sc := racyScenario(t)
-	c, err := DialContext(context.Background(), addr, session, cfg)
-	if err != nil {
-		t.Fatalf("dial: %v", err)
-	}
-	if c.Binary() != wantBin {
-		t.Fatalf("negotiated binary=%v, want %v", c.Binary(), wantBin)
-	}
-	for i := 0; i < sc.Trace.Len(); i++ {
-		if err := c.Send(sc.Trace.At(i)); err != nil {
-			t.Fatalf("send %d: %v", i, err)
-		}
-	}
-	mid, err := c.Flush()
-	if err != nil {
-		t.Fatalf("flush: %v", err)
-	}
-	if mid.Applied != uint64(sc.Trace.Len()) {
-		t.Fatalf("flush ack applied=%d, want %d", mid.Applied, sc.Trace.Len())
-	}
-	ack, err := c.Close()
-	if err != nil {
-		t.Fatalf("close: %v", err)
-	}
-	if !c.Resumed() && ack.Applied != uint64(sc.Trace.Len()) {
-		t.Fatalf("final ack applied=%d, want %d", ack.Applied, sc.Trace.Len())
-	}
-	if ack.Stats == nil || len(ack.RuleFires) == 0 {
-		t.Fatalf("final ack missing stats/rule fires: %+v", ack)
-	}
-	backend := func(*event.Trace) (conformance.BackendResult, error) {
-		return conformance.BackendResult{Races: c.Races()}, nil
-	}
-	if div := conformance.CheckBackend("wire", backend, sc.Trace); div != nil {
-		t.Errorf("verdict divergence: %v", div)
-	}
-}
-
-// TestHandshakeFormatMatrix is the cross-version interop matrix: every
-// pairing of (binary-offering client, JSON-pinned client, pre-
-// negotiation client) against (current server, pre-negotiation server)
-// must land both peers on the same wire format and deliver identical
-// verdicts. The two "old" peers are hand-rolled stand-ins speaking the
-// protocol exactly as it was before Formats/Format existed.
-func TestHandshakeFormatMatrix(t *testing.T) {
-	srv, err := New("127.0.0.1:0", Config{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer srv.Close()
-
-	t.Run("new-client-new-server-binary", func(t *testing.T) {
-		streamWith(t, srv.Addr(), "matrix-bin", DialConfig{}, true)
-	})
-	t.Run("forcejson-client-new-server", func(t *testing.T) {
-		streamWith(t, srv.Addr(), "matrix-json", DialConfig{ForceJSON: true}, false)
-	})
-	t.Run("old-client-new-server", func(t *testing.T) {
-		oldClientRoundTrip(t, srv.Addr(), "matrix-old-client")
-	})
-	t.Run("new-client-old-server", func(t *testing.T) {
-		addr := startOldServer(t)
-		streamWith(t, addr, "matrix-old-server", DialConfig{}, false)
-	})
-}
-
-// oldClientRoundTrip speaks the pre-negotiation protocol raw on the
-// socket: a hello without Formats, the JSON stream header, line
-// records, and a close control. The welcome must not name a format
-// (old clients would ignore it, but the byte-identical welcome is the
-// compatibility contract) and the verdicts must arrive as line JSON.
-func oldClientRoundTrip(t *testing.T, addr, session string) {
-	t.Helper()
-	sc := racyScenario(t)
-	conn, err := net.Dial("tcp", addr)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer conn.Close()
-	conn.SetDeadline(time.Now().Add(10 * time.Second))
-	h, _ := json.Marshal(struct {
-		Proto   string `json:"proto"`
-		Version int    `json:"version"`
-		Session string `json:"session"`
-	}{ProtoName, ProtoVersion, session})
-	if _, err := conn.Write(append(h, '\n')); err != nil {
-		t.Fatal(err)
-	}
-	br := bufio.NewReader(conn)
-	line, err := readLine(br)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if bytes.Contains(line, []byte(`"format"`)) {
-		t.Fatalf("welcome to a pre-negotiation client names a format: %s", line)
-	}
-	var w welcome
-	if err := json.Unmarshal(line, &w); err != nil || !w.OK {
-		t.Fatalf("welcome: %s (err %v)", line, err)
-	}
-	if _, err := conn.Write(event.StreamHeaderLine()); err != nil {
-		t.Fatal(err)
-	}
-	for i := 0; i < sc.Trace.Len(); i++ {
-		rec, err := event.EncodeRecord(sc.Trace.At(i))
-		if err != nil {
-			t.Fatal(err)
-		}
-		if _, err := conn.Write(rec); err != nil {
-			t.Fatal(err)
-		}
-	}
-	ctl, _ := json.Marshal(ctlMsg{Ctl: ctlClose})
-	if _, err := conn.Write(append(ctl, '\n')); err != nil {
-		t.Fatal(err)
-	}
-	races := 0
-	for {
-		line, err := readLine(br)
-		if err != nil {
-			t.Fatalf("reading server line: %v", err)
-		}
-		var m serverMsg
-		if err := json.Unmarshal(line, &m); err != nil {
-			t.Fatalf("bad server line %s: %v", line, err)
-		}
-		switch {
-		case m.Err != "":
-			t.Fatalf("server error: %s", m.Err)
-		case m.Race != nil:
-			races++
-		case m.Ack != nil && m.Ack.Final:
-			if m.Ack.Applied != uint64(sc.Trace.Len()) {
-				t.Fatalf("final ack applied=%d, want %d", m.Ack.Applied, sc.Trace.Len())
-			}
-			if races == 0 {
-				t.Fatal("no race verdicts over the legacy protocol")
-			}
-			return
-		}
-	}
-}
-
-// startOldServer runs a minimal stand-in for a pre-negotiation daemon:
-// it ignores unknown hello keys (as encoding/json always has), never
-// sets welcome.Format, and speaks only line JSON. A current client
-// dialing it must fall back cleanly.
-func startOldServer(t *testing.T) string {
-	t.Helper()
-	ln, err := net.Listen("tcp", "127.0.0.1:0")
-	if err != nil {
-		t.Fatal(err)
-	}
-	t.Cleanup(func() { ln.Close() })
-	go func() {
-		for {
-			conn, err := ln.Accept()
-			if err != nil {
-				return
-			}
-			go oldServeConn(conn)
-		}
-	}()
-	return ln.Addr().String()
-}
-
-func oldServeConn(conn net.Conn) {
-	defer conn.Close()
-	br := bufio.NewReader(conn)
-	bw := bufio.NewWriter(conn)
-	line, err := readLine(br)
-	if err != nil {
-		return
-	}
-	var h struct {
-		Proto   string `json:"proto"`
-		Version int    `json:"version"`
-		Session string `json:"session"`
-	}
-	if json.Unmarshal(line, &h) != nil || h.Proto != ProtoName {
-		return
-	}
-	b, _ := json.Marshal(welcome{OK: true})
-	bw.Write(append(b, '\n'))
-	bw.Flush()
-	if line, err = readLine(br); err != nil || event.CheckStreamHeader(line) != nil {
-		return
-	}
-	eng := core.NewEngine(core.DefaultOptions())
-	applied, races := uint64(0), uint64(0)
-	send := func(m serverMsg) {
-		b, _ := json.Marshal(m)
-		bw.Write(append(b, '\n'))
-	}
-	for {
-		line, err := readLine(br)
-		if err != nil {
-			return
-		}
-		var ctl ctlMsg
-		if json.Unmarshal(line, &ctl) == nil && ctl.Ctl != "" {
-			stats := eng.Stats()
-			send(serverMsg{Ack: &wireAck{
-				Applied: applied, Races: races,
-				Final: ctl.Ctl == ctlClose, Stats: &stats,
-				RuleFires: make([]uint64, 10),
-			}})
-			bw.Flush()
-			if ctl.Ctl == ctlClose {
-				return
-			}
-			continue
-		}
-		a, _, ok := event.DecodeRecordSpan(line)
-		if !ok {
-			send(serverMsg{Err: "corrupt record"})
-			bw.Flush()
-			return
-		}
-		for _, r := range eng.Step(a) {
-			races++
-			if wr, err := encodeRace(r, applied); err == nil {
-				send(serverMsg{Race: wr})
-			}
-		}
-		applied++
-	}
-}
-
 // TestBinaryProgressWatermark checks the batched unsolicited acks: a
-// binary client learns server progress without issuing a single
+// client learns server progress without issuing a single
 // control round trip, and the solicited flush ack is not consumed by
 // the watermark path.
 func TestBinaryProgressWatermark(t *testing.T) {
@@ -276,9 +39,6 @@ func TestBinaryProgressWatermark(t *testing.T) {
 	c, err := DialContext(context.Background(), srv.Addr(), "watermark", DialConfig{})
 	if err != nil {
 		t.Fatal(err)
-	}
-	if !c.Binary() {
-		t.Fatal("expected a binary connection")
 	}
 	for i := 0; i < sc.Trace.Len(); i++ {
 		if err := c.Send(sc.Trace.At(i)); err != nil {
@@ -322,23 +82,25 @@ var (
 // FuzzHandshake throws arbitrary bytes at a live daemon's handshake and
 // early stream: the server must always answer the first line with a
 // welcome (or drop the connection) and never wedge or crash, whatever
-// the bytes — truncated hellos, binary frames where JSON belongs, torn
-// frames after a valid binary negotiation.
+// the bytes — truncated hellos, a line-JSON stream where binary frames
+// belong, torn frames after a valid header, a version-1 client.
 func FuzzHandshake(f *testing.F) {
 	okHello, _ := json.Marshal(hello{Proto: ProtoName, Version: ProtoVersion, Session: "fuzz"})
-	binHello, _ := json.Marshal(hello{Proto: ProtoName, Version: ProtoVersion, Session: "fuzz",
-		Formats: []string{WireFormatBinary}})
+	okHello = append(okHello, '\n')
+	v1Hello := []byte(`{"proto":"goldilocks-service","version":1,"session":"fuzz"}` + "\n")
 	f.Add([]byte("garbage\n"))
-	f.Add(append(append([]byte{}, okHello...), '\n'))
-	f.Add(append(append(append([]byte{}, okHello...), '\n'), event.StreamHeaderLine()...))
-	f.Add(append(append(append([]byte{}, binHello...), '\n'), event.BinHeaderFrame()...))
-	// Binary negotiation followed by a torn frame.
-	torn := append(append(append([]byte{}, binHello...), '\n'), event.BinHeaderFrame()...)
+	f.Add(okHello)
+	// A line-JSON stream header where the binary header frame belongs
+	// (format confusion).
+	f.Add(append(append([]byte{}, okHello...), event.StreamHeaderLine()...))
+	f.Add(append(append([]byte{}, okHello...), event.BinHeaderFrame()...))
+	// A valid header followed by a torn frame.
+	torn := append(append([]byte{}, okHello...), event.BinHeaderFrame()...)
 	torn = append(torn, event.AppendEventFrame(nil, event.Action{Kind: event.KindRead, Thread: 1, Obj: 1}, 0)[:7]...)
 	f.Add(torn)
-	// JSON negotiation followed by binary frames (format confusion).
-	confused := append(append(append([]byte{}, okHello...), '\n'), event.BinHeaderFrame()...)
-	f.Add(confused)
+	// A version-1 client streaming line-JSON: refused at the hello.
+	rec, _ := event.EncodeRecord(event.Read(1, 1, 0))
+	f.Add(append(append(append([]byte{}, v1Hello...), event.StreamHeaderLine()...), rec...))
 	f.Fuzz(func(t *testing.T, data []byte) {
 		fuzzSrvOnce.Do(func() {
 			srv, err := New("127.0.0.1:0", Config{Queue: 4, Batch: 2})
@@ -371,19 +133,43 @@ func FuzzHandshake(f *testing.F) {
 	})
 }
 
-// TestWireFormatNames pins the negotiated format strings: they are the
-// cross-version compatibility surface and must never drift.
-func TestWireFormatNames(t *testing.T) {
-	if WireFormatBinary != "goldilocks-bin" || WireFormatJSON != "goldilocks-json" {
-		t.Fatalf("wire format names drifted: %q %q", WireFormatBinary, WireFormatJSON)
+// TestLateReleaseKeepsReattach pins release's ownership check: the
+// deferred release of a connection whose close already released the
+// session must not detach the connection that re-attached since.
+func TestLateReleaseKeepsReattach(t *testing.T) {
+	srv, err := New("127.0.0.1:0", Config{})
+	if err != nil {
+		t.Fatal(err)
 	}
-	if got := pickWireFormat([]string{"x", WireFormatBinary}); got != WireFormatBinary {
-		t.Fatalf("pickWireFormat = %q", got)
+	defer srv.Close()
+	old, fresh := net.Pipe()
+	defer old.Close()
+	defer fresh.Close()
+
+	sess, _, err := srv.attach("late", old)
+	if err != nil {
+		t.Fatal(err)
 	}
-	if got := pickWireFormat(nil); got != WireFormatJSON {
-		t.Fatalf("pickWireFormat(nil) = %q", got)
+	oldQ := make(chan item)
+	sess.setQueue(oldQ)
+	srv.release(sess, old, oldQ) // the close path's explicit release
+	if _, _, err := srv.attach("late", fresh); err != nil {
+		t.Fatalf("re-attach after release: %v", err)
 	}
-	if got := pickWireFormat([]string{"future-format"}); got != WireFormatJSON {
-		t.Fatalf("pickWireFormat(unknown) = %q", got)
+	freshQ := make(chan item, 1)
+	sess.setQueue(freshQ)
+	srv.release(sess, old, oldQ) // the old handler's deferred release
+
+	srv.mu.Lock()
+	attached, conn := sess.attached, sess.conn
+	srv.mu.Unlock()
+	if !attached || conn != fresh {
+		t.Fatalf("late release detached the re-attached connection (attached=%v)", attached)
+	}
+	if !sess.tryEnqueue(item{ctl: ctlFlush}) {
+		t.Fatal("late release dropped the re-attached connection's queue")
+	}
+	if _, _, err := srv.attach("late", old); err == nil {
+		t.Fatal("a second live connection was accepted")
 	}
 }

@@ -80,11 +80,6 @@ T "$BIN/goldilocksctl" -cluster "$CLUSTER" drill \
     -corpus internal/conformance/testdata | tee "$WORK/drill.txt"
 grep -q " 0 divergences" "$WORK/drill.txt" || {
     echo "FAIL: drill reported divergences"; cat "$WORK"/node*.log; exit 1; }
-# The default mixed mode must have migrated SIGKILLed streams of both
-# wire formats — a drill where either count is zero exercised only one
-# codec's failover path.
-grep -Eq "\([1-9][0-9]* binary, [1-9][0-9]* json wire\)" "$WORK/drill.txt" || {
-    echo "FAIL: drill did not mix binary and json wire sessions"; cat "$WORK/drill.txt"; exit 1; }
 
 echo "== surviving fleet status"
 T "$BIN/goldilocksctl" -cluster "$CLUSTER" status | tee "$WORK/status.txt"

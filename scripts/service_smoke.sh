@@ -94,46 +94,30 @@ for trace in internal/conformance/testdata/ce-*.jsonl "$WORK"/racy.jsonl "$WORK"
     local_rc=$?
     T "$BIN/racereplay" -remote "$ADDR" -session "parity-$name" "$trace" >"$WORK/remote.txt" 2>&1
     remote_rc=$?
-    T "$BIN/racereplay" -remote "$ADDR" -wire json -session "parity-json-$name" "$trace" >"$WORK/remote-json.txt" 2>&1
-    json_rc=$?
     set -e
-
-    # The default remote path must have negotiated the binary wire; the
-    # -wire json leg pins the line-JSON fallback to the same verdicts.
-    grep -q "wire format: binary" "$WORK/remote.txt" || {
-        echo "FAIL: $name: default remote replay did not negotiate the binary wire"
-        cat "$WORK/remote.txt"; exit 1; }
-    grep -q "wire format: json" "$WORK/remote-json.txt" || {
-        echo "FAIL: $name: -wire json did not force line-JSON"
-        cat "$WORK/remote-json.txt"; exit 1; }
 
     local_n="$(race_count "$WORK/local.txt" goldilocks)"
     remote_n="$(race_count "$WORK/remote.txt" remote)"
-    json_n="$(race_count "$WORK/remote-json.txt" remote)"
-    if [ "$local_rc" != "$remote_rc" ] || [ "$local_n" != "$remote_n" ] \
-        || [ "$local_rc" != "$json_rc" ] || [ "$local_n" != "$json_n" ]; then
-        echo "FAIL: $name: local exit=$local_rc races=$local_n, binary exit=$remote_rc races=$remote_n, json exit=$json_rc races=$json_n"
-        cat "$WORK/local.txt" "$WORK/remote.txt" "$WORK/remote-json.txt"
+    if [ "$local_rc" != "$remote_rc" ] || [ "$local_n" != "$remote_n" ]; then
+        echo "FAIL: $name: local exit=$local_rc races=$local_n, remote exit=$remote_rc races=$remote_n"
+        cat "$WORK/local.txt" "$WORK/remote.txt"
         exit 1
     fi
-    echo "   $name: $local_n races, exit $local_rc (local == binary wire == json wire)"
+    echo "   $name: $local_n races, exit $local_rc (local == remote)"
 done
 
-# drill NAME TRACE [PARTIAL_WIRE RESUME_WIRE]: stream half the trace
-# into session NAME, SIGTERM the daemon (checkpoints written), restart
-# it, resume the session to completion, and require convergence with
-# the uninterrupted verdicts. The optional wire arguments (auto|json)
-# pick the format of each leg — a session checkpointed under one wire
-# format must resume identically under the other.
+# drill NAME TRACE: stream half the trace into session NAME, SIGTERM
+# the daemon (checkpoints written), restart it, resume the session to
+# completion, and require convergence with the uninterrupted verdicts.
 drill() {
-    name="$1"; drill_trace="$2"; partial_wire="${3:-auto}"; resume_wire="${4:-auto}"
+    name="$1"; drill_trace="$2"
     T "$BIN/racereplay" -detector goldilocks "$drill_trace" >"$WORK/drill-local.txt" 2>&1 || true
     total_actions="$(sed -n 's/^trace: \([0-9][0-9]*\) actions.*/\1/p' "$WORK/drill-local.txt")"
     want_n="$(race_count "$WORK/drill-local.txt" goldilocks)"
     half=$((total_actions / 2))
     [ "$half" -ge 1 ] || { echo "FAIL: $name: drill trace too short ($total_actions actions)"; exit 1; }
 
-    T "$BIN/racereplay" -remote "$ADDR" -wire "$partial_wire" -session "$name" -stop-after "$half" "$drill_trace" \
+    T "$BIN/racereplay" -remote "$ADDR" -session "$name" -stop-after "$half" "$drill_trace" \
         >"$WORK/drill-partial.txt" 2>&1 || true
     grep -q "session $name resumable" "$WORK/drill-partial.txt" || {
         echo "FAIL: $name: partial replay did not detach resumably"; cat "$WORK/drill-partial.txt"; exit 1; }
@@ -145,7 +129,7 @@ drill() {
 
     start_daemon
     set +e
-    T "$BIN/racereplay" -remote "$ADDR" -wire "$resume_wire" -session "$name" "$drill_trace" >"$WORK/drill-resume.txt" 2>&1
+    T "$BIN/racereplay" -remote "$ADDR" -session "$name" "$drill_trace" >"$WORK/drill-resume.txt" 2>&1
     set -e
     grep -q "session $name resumed at action $half" "$WORK/drill-resume.txt" || {
         echo "FAIL: $name: session did not resume at action $half"; cat "$WORK/drill-resume.txt"; exit 1; }
@@ -161,14 +145,9 @@ drill() {
 }
 
 echo "== restart drill: interrupt mid-session, SIGTERM, restart, resume"
-drill drill "$WORK/racy.jsonl"            # binary wire on both legs
+drill drill "$WORK/racy.jsonl"
 drill drill-tx "$WORK/txbank.jsonl"
 drill drill-chan "$WORK/pipeline.jsonl"   # channel state must survive the checkpoint
-# Cross-format restart: the interrupted stream rode the binary wire,
-# the resume is forced to line-JSON (and vice versa) — checkpointed
-# session state is wire-format agnostic.
-drill drill-bin2json "$WORK/racy.jsonl" auto json
-drill drill-json2bin "$WORK/racy.jsonl" json auto
 
 echo "== per-session metrics"
 T curl -sf "http://$METRICS/metrics" -o "$WORK/metrics.prom"
