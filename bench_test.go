@@ -11,6 +11,7 @@
 package goldilocks_bench
 
 import (
+	"bytes"
 	"fmt"
 	"runtime"
 	"sync/atomic"
@@ -503,4 +504,49 @@ func BenchmarkRecordReplay(b *testing.B) {
 			b.Fatal("replay raced")
 		}
 	}
+}
+
+// BenchmarkCheckpoint times Engine.Checkpoint on the state a long
+// goldilocksd session carries: 8 threads taking 16 locks around
+// accesses to 2048 variables, so the retained event list holds 24k
+// cells and every variable a write Info and a read Info at some point
+// of it. The restore sub-benchmark times the inverse.
+func BenchmarkCheckpoint(b *testing.B) {
+	const threads, locks, vars, sections = 8, 16, 2048, 12 << 10
+	e := core.NewEngine(core.DefaultOptions())
+	for t := event.Tid(2); t <= threads; t++ {
+		e.Sync(event.Fork(1, t))
+	}
+	for i := 0; i < sections; i++ {
+		t := event.Tid(1 + i%threads)
+		l := event.Addr(1<<20 + (i*7)%locks)
+		obj, field := event.Addr(1+(i*13)%vars/8), event.FieldID((i*13)%8)
+		e.Sync(event.Acquire(t, l))
+		e.Read(t, obj, field)
+		e.Write(t, obj, field)
+		e.Sync(event.Release(t, l))
+	}
+	if n := e.ListLen(); n < 16<<10 {
+		b.Fatalf("retained list of %d cells, want at least 16k", n)
+	}
+	var snap bytes.Buffer
+	b.Run("encode", func(b *testing.B) {
+		b.ReportAllocs()
+		for i := 0; i < b.N; i++ {
+			snap.Reset()
+			if err := e.Checkpoint(&snap); err != nil {
+				b.Fatal(err)
+			}
+		}
+		b.ReportMetric(float64(snap.Len()), "snapshot_bytes")
+	})
+	b.Run("restore", func(b *testing.B) {
+		b.ReportAllocs()
+		for i := 0; i < b.N; i++ {
+			if _, err := core.RestoreEngine(bytes.NewReader(snap.Bytes()), core.RestoreAttach{}); err != nil {
+				b.Fatal(err)
+			}
+		}
+		b.ReportMetric(float64(snap.Len()), "snapshot_bytes")
+	})
 }

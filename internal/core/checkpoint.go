@@ -2,12 +2,17 @@ package core
 
 import (
 	"bufio"
+	"bytes"
+	"cmp"
+	"encoding/binary"
 	"encoding/json"
+	"errors"
 	"fmt"
 	"hash/crc32"
 	"io"
+	"math"
 	"slices"
-	"sort"
+	"sync/atomic"
 
 	"goldilocks/internal/event"
 	"goldilocks/internal/obs"
@@ -25,13 +30,35 @@ import (
 // the same verdicts, the same Figure 5 rule-fire counts, and the same
 // Stats as the uninterrupted run (pinned by TestCheckpointEveryPrefix).
 //
-// The format mirrors the streaming trace format's durability story: a
-// header line identifying the format, then one body line whose payload
-// carries a CRC-32 (IEEE), so a torn or bit-rotten snapshot is detected
-// on load instead of silently restoring a corrupt detector.
+// A snapshot is one JSON header line identifying the format, then one
+// length-prefixed binary body and its CRC-32 (IEEE), so a torn or
+// bit-rotten snapshot is detected on load instead of silently restoring
+// a corrupt detector:
 //
-//	{"format":"goldilocks-checkpoint","version":1}
-//	{"engine":{...},"crc":"7f1c0d3a"}
+//	{"format":"goldilocks-checkpoint","version":2}\n
+//	uint64 LE body length | body | uint32 LE crc32(body)
+//
+// The body is encoded straight from the engine's state, in this order
+// (integers are varints, signed ones zigzag; actions use the binary
+// action codec of internal/event, event.AppendAction):
+//
+//	options     flag bits, SC3 segment cap, GC threshold and trim
+//	            fraction, txn semantics, error policy, memory budget,
+//	            shard count, broken rule
+//	list        head seq, enqueued, collected, n, n actions head to tail
+//	threads     n, then per thread (by tid): tid, n, (monitor, depth)*n
+//	channels    n, then per channel (by addr): addr, cap, sends, recvs, closed
+//	variables   n, then per variable (by obj, field): obj, field, flag
+//	            bits, the write Info if any, n, n read Infos (by owner)
+//	counters    every Stats counter, the governor rung, the degraded bit
+//	telemetry   n, then n rule fires and n walk-rule hits (rules 1..n;
+//	            n is 0 when the engine had no telemetry attached)
+//
+// An Info is its owner, flag bits, position (as an offset from the head
+// seq), original seq, alock, action, sorted lockset and sorted
+// happens-before cache. Every collection is written in a fixed order,
+// so checkpointing a restored engine reproduces the snapshot byte for
+// byte.
 //
 // Checkpoint requires quiescence: the caller must ensure no concurrent
 // Step/Read/Write/Sync while the snapshot is taken (goldilocksd pauses
@@ -40,133 +67,25 @@ import (
 // CheckpointFormatName identifies the snapshot format.
 const CheckpointFormatName = "goldilocks-checkpoint"
 
-// CheckpointFormatVersion is the current snapshot version.
-const CheckpointFormatVersion = 1
+// CheckpointFormatVersion is the current snapshot version. Version 1
+// (a JSON body) is not readable: restoring it is an error.
+const CheckpointFormatVersion = 2
 
 type ckptHeader struct {
 	Format  string `json:"format"`
 	Version int    `json:"version"`
 }
 
-type ckptBody struct {
-	Engine json.RawMessage `json:"engine"`
-	CRC    string          `json:"crc"`
-}
+var ckptHeaderLine = fmt.Sprintf(`{"format":%q,"version":%d}`+"\n", CheckpointFormatName, CheckpointFormatVersion)
 
-// ckptOptions is Options minus the non-serializable attachments
-// (Telemetry, Injector), which the restoring process supplies fresh.
-type ckptOptions struct {
-	SC1              bool               `json:"sc1,omitempty"`
-	SC2              bool               `json:"sc2,omitempty"`
-	SC3              bool               `json:"sc3,omitempty"`
-	SC3MaxSegment    int                `json:"sc3_max_segment,omitempty"`
-	XactSC           bool               `json:"xact_sc,omitempty"`
-	Memoize          bool               `json:"memoize,omitempty"`
-	HBCache          bool               `json:"hb_cache,omitempty"`
-	FastPath         bool               `json:"fast_path,omitempty"`
-	DisableAfterRace bool               `json:"disable_after_race,omitempty"`
-	GCThreshold      int                `json:"gc_threshold,omitempty"`
-	GCTrimFraction   float64            `json:"gc_trim_fraction,omitempty"`
-	PartialEager     bool               `json:"partial_eager,omitempty"`
-	TxnSemantics     event.TxnSemantics `json:"txn_semantics,omitempty"`
-	OnError          uint8              `json:"on_error,omitempty"`
-	MemoryBudget     int                `json:"memory_budget,omitempty"`
-	VarShards        int                `json:"var_shards,omitempty"`
-	BrokenRule       int                `json:"broken_rule,omitempty"`
-}
+// maxCkptShards bounds the shard count a snapshot may ask NewEngine to
+// allocate; the engine rounds any configured count to a power of two.
+const maxCkptShards = 1 << 16
 
-type ckptElem struct {
-	K event.FieldID `json:"k"` // ElemKind (FieldID-typed to keep tags terse)
-	T event.Tid     `json:"t,omitempty"`
-	O event.Addr    `json:"o,omitempty"`
-	F event.FieldID `json:"f,omitempty"`
-}
-
-type ckptInfo struct {
-	Owner   event.Tid       `json:"t"`
-	Pos     uint64          `json:"pos"`
-	OrigSeq uint64          `json:"orig"`
-	ALock   event.Addr      `json:"alock,omitempty"`
-	Xact    bool            `json:"xact,omitempty"`
-	Action  json.RawMessage `json:"a"`
-	Lockset []ckptElem      `json:"ls"`
-	HBAfter []event.Tid     `json:"hb,omitempty"`
-}
-
-type ckptVar struct {
-	Obj          event.Addr    `json:"o"`
-	Field        event.FieldID `json:"f"`
-	Write        *ckptInfo     `json:"w,omitempty"`
-	Reads        []ckptInfo    `json:"r,omitempty"` // sorted by owner tid
-	ReadsAllXact bool          `json:"rx,omitempty"`
-	Disabled     bool          `json:"disabled,omitempty"`
-	Quarantined  bool          `json:"quarantined,omitempty"`
-}
-
-type ckptThread struct {
-	Tid   event.Tid    `json:"t"`
-	Stack []event.Addr `json:"stack,omitempty"` // distinct held monitors, acquisition order
-	Depth []int        `json:"depth,omitempty"` // reentrancy count per stack entry
-}
-
-// ckptChan is one channel's conveyor state (the ChanTracker entry).
-// Absent from pre-channel snapshots, so version 1 stays readable.
-type ckptChan struct {
-	Obj    event.Addr `json:"o"`
-	Cap    int32      `json:"cap,omitempty"`
-	Sends  uint64     `json:"sends,omitempty"`
-	Recvs  uint64     `json:"recvs,omitempty"`
-	Closed bool       `json:"closed,omitempty"`
-}
-
-type ckptList struct {
-	HeadSeq   uint64            `json:"head_seq"`
-	Actions   []json.RawMessage `json:"actions"` // filled cells, head to tail
-	Enqueued  uint64            `json:"enqueued"`
-	Collected uint64            `json:"collected"`
-}
-
-// ckptCounters carries every Stats field plus the internals Stats is
-// derived from, so the restored engine's Stats() is bit-identical.
-type ckptCounters struct {
-	AccessesChecked uint64 `json:"accesses_checked,omitempty"`
-	PairChecks      uint64 `json:"pair_checks,omitempty"`
-	SC1Hits         uint64 `json:"sc1_hits,omitempty"`
-	SC2Hits         uint64 `json:"sc2_hits,omitempty"`
-	SC3Hits         uint64 `json:"sc3_hits,omitempty"`
-	XactHits        uint64 `json:"xact_hits,omitempty"`
-	HBCacheHits     uint64 `json:"hb_cache_hits,omitempty"`
-	FastPathHits    uint64 `json:"fast_path_hits,omitempty"`
-	FullWalks       uint64 `json:"full_walks,omitempty"`
-	WalkCells       uint64 `json:"walk_cells,omitempty"`
-	Races           uint64 `json:"races,omitempty"`
-	DegradedChecks  uint64 `json:"degraded_checks,omitempty"`
-	VarsTracked     uint64 `json:"vars_tracked,omitempty"`
-	Collections     uint64 `json:"collections,omitempty"`
-	InfosAdvanced   uint64 `json:"infos_advanced,omitempty"`
-	PanicsRecovered uint64 `json:"panics_recovered,omitempty"`
-	VarsQuarantined uint64 `json:"vars_quarantined,omitempty"`
-	Rung            int32  `json:"rung,omitempty"`
-	Escalations     uint64 `json:"escalations,omitempty"`
-	AggressiveGCs   uint64 `json:"aggressive_gcs,omitempty"`
-	CacheSheds      uint64 `json:"cache_sheds,omitempty"`
-	EagerSweeps     uint64 `json:"eager_sweeps,omitempty"`
-	Degraded        bool   `json:"degraded,omitempty"`
-}
-
-type ckptPayload struct {
-	Opts     ckptOptions  `json:"opts"`
-	List     ckptList     `json:"list"`
-	Threads  []ckptThread `json:"threads,omitempty"` // sorted by tid
-	Chans    []ckptChan   `json:"chans,omitempty"`   // sorted by obj
-	Vars     []ckptVar    `json:"vars,omitempty"`    // sorted by (obj, field)
-	Counters ckptCounters `json:"counters"`
-	// Telemetry counters, present when the checkpointed engine had
-	// telemetry attached: event-level rule fires and walk-effect hits
-	// (indexed 0..NumRules), added into the restoring telemetry so
-	// rule-fire counts stay linearization-exact across a restart.
-	RuleFires    []uint64 `json:"rule_fires,omitempty"`
-	WalkRuleHits []uint64 `json:"walk_rule_hits,omitempty"`
+// optionFlags lists the boolean options in their snapshot bit order.
+func optionFlags(o *Options) []*bool {
+	return []*bool{&o.SC1, &o.SC2, &o.SC3, &o.XactSC, &o.Memoize, &o.HBCache,
+		&o.FastPath, &o.DisableAfterRace, &o.PartialEager}
 }
 
 // RestoreAttach carries the process-local attachments a restored engine
@@ -177,216 +96,271 @@ type RestoreAttach struct {
 	Injector  *resilience.Injector
 }
 
-// Checkpoint serializes the engine's complete detector state to w. The
-// engine must be quiescent: no concurrent Step/Read/Write/Sync calls.
+// Checkpoint serializes the engine's complete detector state to w in
+// one write. The engine must be quiescent: no concurrent
+// Step/Read/Write/Sync calls.
 func (e *Engine) Checkpoint(w io.Writer) error {
-	payload, err := e.snapshot()
-	if err != nil {
+	// Size the buffer for a typical snapshot (about ten bytes per list
+	// cell and fifty per variable) so encoding rarely regrows it.
+	hint := 1<<10 + 10*e.list.len() + 50*int(e.varsTracked.Load())
+	enc := ckptEncoder{b: append(make([]byte, 0, hint), ckptHeaderLine...)}
+	lenAt := len(enc.b)
+	enc.b = append(enc.b, make([]byte, 8)...) // body length, patched below
+	if err := enc.engine(e); err != nil {
 		return err
 	}
-	body, err := json.Marshal(payload)
-	if err != nil {
-		return err
-	}
-	hdr, err := json.Marshal(ckptHeader{Format: CheckpointFormatName, Version: CheckpointFormatVersion})
-	if err != nil {
-		return err
-	}
-	rec, err := json.Marshal(ckptBody{Engine: body, CRC: fmt.Sprintf("%08x", crc32.ChecksumIEEE(body))})
-	if err != nil {
-		return err
-	}
-	bw := bufio.NewWriter(w)
-	bw.Write(append(hdr, '\n'))
-	bw.Write(append(rec, '\n'))
-	return bw.Flush()
+	body := enc.b[lenAt+8:]
+	binary.LittleEndian.PutUint64(enc.b[lenAt:], uint64(len(body)))
+	enc.b = binary.LittleEndian.AppendUint32(enc.b, crc32.ChecksumIEEE(body))
+	_, err := w.Write(enc.b)
+	return err
 }
 
-// snapshot assembles the checkpoint payload.
-func (e *Engine) snapshot() (*ckptPayload, error) {
-	o := e.opts
-	p := &ckptPayload{
-		Opts: ckptOptions{
-			SC1: o.SC1, SC2: o.SC2, SC3: o.SC3, SC3MaxSegment: o.SC3MaxSegment,
-			XactSC: o.XactSC, Memoize: o.Memoize, HBCache: o.HBCache,
-			FastPath:         o.FastPath,
-			DisableAfterRace: o.DisableAfterRace,
-			GCThreshold:      o.GCThreshold, GCTrimFraction: o.GCTrimFraction,
-			PartialEager: o.PartialEager, TxnSemantics: o.TxnSemantics,
-			OnError: uint8(o.OnError), MemoryBudget: o.MemoryBudget,
-			VarShards: len(e.varShards), BrokenRule: o.BrokenRule,
-		},
-	}
+// ckptEncoder appends a snapshot body to b. The other fields are
+// scratch space reused across variables and Infos.
+type ckptEncoder struct {
+	b       []byte
+	elems   []Elem
+	tids    []event.Tid
+	readers []event.Tid
+}
 
-	// Event list: the retained filled cells are a contiguous seq range
-	// from head to the sentinel (trim only ever drops a prefix).
+func (c *ckptEncoder) uvarint(u uint64) { c.b = binary.AppendUvarint(c.b, u) }
+func (c *ckptEncoder) varint(v int64)   { c.b = binary.AppendVarint(c.b, v) }
+
+// flags packs booleans into one word, the first in the lowest bit.
+func (c *ckptEncoder) flags(flags ...bool) {
+	var u uint64
+	for i, f := range flags {
+		if f {
+			u |= 1 << i
+		}
+	}
+	c.uvarint(u)
+}
+
+type ckptVarRef struct {
+	obj   event.Addr
+	field event.FieldID
+	vs    *varState
+}
+
+func (c *ckptEncoder) engine(e *Engine) error {
+	o := e.opts
+	var flags []bool
+	for _, f := range optionFlags(&o) {
+		flags = append(flags, *f)
+	}
+	c.flags(flags...)
+	c.varint(int64(o.SC3MaxSegment))
+	c.varint(int64(o.GCThreshold))
+	c.b = binary.LittleEndian.AppendUint64(c.b, math.Float64bits(o.GCTrimFraction))
+	c.uvarint(uint64(o.TxnSemantics))
+	c.uvarint(uint64(o.OnError))
+	c.varint(int64(o.MemoryBudget))
+	c.uvarint(uint64(len(e.varShards)))
+	c.varint(int64(o.BrokenRule))
+
+	// Event list: the retained filled cells are the contiguous seq range
+	// from head up to the sentinel (trim only ever drops a prefix).
 	e.list.mu.Lock()
 	head := e.list.head
 	e.list.mu.Unlock()
 	tail := e.list.snapshotTail()
-	p.List.HeadSeq = head.seq
-	p.List.Enqueued = e.list.enqueued.Load()
-	p.List.Collected = e.list.collected.Load()
-	for c := head; c != tail && c != nil && c.filled; c = c.next {
-		a, err := event.MarshalAction(c.action)
-		if err != nil {
-			return nil, err
+	c.uvarint(head.seq)
+	c.uvarint(e.list.enqueued.Load())
+	c.uvarint(e.list.collected.Load())
+	c.uvarint(tail.seq - head.seq)
+	for cl := head; cl != tail; cl = cl.next {
+		if cl == nil || !cl.filled {
+			return fmt.Errorf("core: checkpoint: event list broken at seq %d", tail.seq)
 		}
-		p.List.Actions = append(p.List.Actions, a)
+		c.b = event.AppendAction(c.b, cl.action)
 	}
 
-	// Per-thread lock records.
+	// Per-thread lock records, by tid.
+	type threadRef struct {
+		tid event.Tid
+		tl  *threadLocks
+	}
+	var threads []threadRef
 	e.locks.Range(func(k, v any) bool {
-		t := k.(event.Tid)
-		tl := v.(*threadLocks)
-		tl.mu.Lock()
-		ct := ckptThread{Tid: t, Stack: slices.Clone(tl.stack)}
-		for _, a := range ct.Stack {
-			ct.Depth = append(ct.Depth, tl.held[a])
-		}
-		tl.mu.Unlock()
-		p.Threads = append(p.Threads, ct)
+		threads = append(threads, threadRef{k.(event.Tid), v.(*threadLocks)})
 		return true
 	})
-	sort.Slice(p.Threads, func(i, j int) bool { return p.Threads[i].Tid < p.Threads[j].Tid })
-
-	// Channel conveyor state.
-	e.chanMu.Lock()
-	for c, cs := range e.chans.Snapshot() {
-		p.Chans = append(p.Chans, ckptChan{Obj: c, Cap: cs.Cap, Sends: cs.Sends, Recvs: cs.Recvs, Closed: cs.Closed})
+	slices.SortFunc(threads, func(a, b threadRef) int { return cmp.Compare(a.tid, b.tid) })
+	c.uvarint(uint64(len(threads)))
+	for _, t := range threads {
+		t.tl.mu.Lock()
+		c.varint(int64(t.tid))
+		c.uvarint(uint64(len(t.tl.stack)))
+		for _, a := range t.tl.stack {
+			c.varint(int64(a))
+			c.varint(int64(t.tl.held[a]))
+		}
+		t.tl.mu.Unlock()
 	}
+
+	// Channel conveyor state, by address.
+	e.chanMu.Lock()
+	chans := e.chans.Snapshot()
 	e.chanMu.Unlock()
-	sort.Slice(p.Chans, func(i, j int) bool { return p.Chans[i].Obj < p.Chans[j].Obj })
+	addrs := make([]event.Addr, 0, len(chans))
+	for a := range chans {
+		addrs = append(addrs, a)
+	}
+	slices.Sort(addrs)
+	c.uvarint(uint64(len(addrs)))
+	for _, a := range addrs {
+		cs := chans[a]
+		c.varint(int64(a))
+		c.varint(int64(cs.Cap))
+		c.uvarint(cs.Sends)
+		c.uvarint(cs.Recvs)
+		c.flags(cs.Closed)
+	}
 
 	// Variable table: every tracked state, including info-less ones
 	// (quarantined or alloc-reset variables still occupy a table slot,
-	// which VarsTracked counts).
+	// which VarsTracked counts), by (obj, field).
+	var vars []ckptVarRef
 	for i := range e.varShards {
 		sh := &e.varShards[i]
 		sh.mu.RLock()
 		for obj, fields := range sh.vars {
 			for field, vs := range fields {
-				cv, err := snapshotVar(obj, field, vs)
-				if err != nil {
-					sh.mu.RUnlock()
-					return nil, err
-				}
-				p.Vars = append(p.Vars, cv)
+				vars = append(vars, ckptVarRef{obj, field, vs})
 			}
 		}
 		sh.mu.RUnlock()
 	}
-	sort.Slice(p.Vars, func(i, j int) bool {
-		a, b := p.Vars[i], p.Vars[j]
-		if a.Obj != b.Obj {
-			return a.Obj < b.Obj
-		}
-		return a.Field < b.Field
+	slices.SortFunc(vars, func(a, b ckptVarRef) int {
+		return cmp.Or(cmp.Compare(a.obj, b.obj), cmp.Compare(a.field, b.field))
 	})
+	c.uvarint(uint64(len(vars)))
+	for _, v := range vars {
+		if err := c.variable(v, head.seq); err != nil {
+			return err
+		}
+	}
 
 	// Counters: the summed stat stripes plus the off-path atomics.
 	s := e.Stats()
-	p.Counters = ckptCounters{
-		AccessesChecked: s.AccessesChecked, PairChecks: s.PairChecks,
-		SC1Hits: s.SC1Hits, SC2Hits: s.SC2Hits, SC3Hits: s.SC3Hits,
-		XactHits: s.XactHits, HBCacheHits: s.HBCacheHits,
-		FastPathHits: s.FastPathHits,
-		FullWalks:    s.FullWalks, WalkCells: s.WalkCells, Races: s.Races,
-		DegradedChecks: s.DegradedChecks, VarsTracked: s.VarsTracked,
-		Collections: s.Collections, InfosAdvanced: s.InfosAdvanced,
-		PanicsRecovered: s.PanicsRecovered, VarsQuarantined: s.VarsQuarantined,
-		Rung: int32(s.GovernorRung), Escalations: s.Escalations,
-		AggressiveGCs: s.AggressiveGCs, CacheSheds: s.CacheSheds,
-		EagerSweeps: s.EagerSweeps, Degraded: e.degraded.Load(),
+	for _, u := range []uint64{
+		s.AccessesChecked, s.PairChecks, s.SC1Hits, s.SC2Hits, s.SC3Hits,
+		s.XactHits, s.HBCacheHits, s.FastPathHits, s.FullWalks, s.WalkCells,
+		s.Races, s.DegradedChecks, s.VarsTracked, s.Collections,
+		s.InfosAdvanced, s.PanicsRecovered, s.VarsQuarantined, s.Escalations,
+		s.AggressiveGCs, s.CacheSheds, s.EagerSweeps,
+	} {
+		c.uvarint(u)
 	}
+	c.varint(int64(s.GovernorRung))
+	c.flags(e.degraded.Load())
 
-	if e.tel != nil {
-		fires := e.tel.RuleFires()
-		p.RuleFires = fires[:]
-		p.WalkRuleHits = make([]uint64, obs.NumRules+1)
-		for i := 1; i <= obs.NumRules; i++ {
-			p.WalkRuleHits[i] = e.tel.WalkRuleHits[i].Load()
-		}
+	// Telemetry: event-level rule fires and walk-effect hits, added into
+	// the restoring telemetry so rule-fire counts stay
+	// linearization-exact across a restart.
+	if e.tel == nil {
+		c.uvarint(0)
+		return nil
 	}
-	return p, nil
+	c.uvarint(obs.NumRules)
+	fires := e.tel.RuleFires()
+	for _, f := range fires[1:] {
+		c.uvarint(f)
+	}
+	for i := 1; i <= obs.NumRules; i++ {
+		c.uvarint(e.tel.WalkRuleHits[i].Load())
+	}
+	return nil
 }
 
-// snapshotVar serializes one variable state under its own mutex.
-func snapshotVar(obj event.Addr, field event.FieldID, vs *varState) (ckptVar, error) {
+// variable encodes one variable state under its own mutex.
+func (c *ckptEncoder) variable(v ckptVarRef, head uint64) error {
+	vs := v.vs
 	vs.mu.Lock()
 	defer vs.mu.Unlock()
-	cv := ckptVar{
-		Obj: obj, Field: field,
-		ReadsAllXact: vs.readsAllXact,
-		Disabled:     vs.disabled,
-		Quarantined:  vs.quarantined,
-	}
+	c.varint(int64(v.obj))
+	c.varint(int64(v.field))
+	c.flags(vs.write != nil, vs.readsAllXact, vs.disabled, vs.quarantined)
 	if vs.write != nil {
-		ci, err := snapshotInfo(vs.write)
-		if err != nil {
-			return cv, err
+		if err := c.info(vs.write, head); err != nil {
+			return err
 		}
-		cv.Write = &ci
 	}
-	tids := make([]event.Tid, 0, len(vs.reads))
+	c.readers = c.readers[:0]
 	for t := range vs.reads {
-		tids = append(tids, t)
+		c.readers = append(c.readers, t)
 	}
-	slices.Sort(tids)
-	for _, t := range tids {
-		ci, err := snapshotInfo(vs.reads[t])
-		if err != nil {
-			return cv, err
+	slices.Sort(c.readers)
+	c.uvarint(uint64(len(c.readers)))
+	for _, t := range c.readers {
+		if err := c.info(vs.reads[t], head); err != nil {
+			return err
 		}
-		cv.Reads = append(cv.Reads, ci)
 	}
-	return cv, nil
+	return nil
 }
 
-func snapshotInfo(in *info) (ckptInfo, error) {
-	a, err := event.MarshalAction(in.action)
-	if err != nil {
-		return ckptInfo{}, err
+func (c *ckptEncoder) info(in *info, head uint64) error {
+	if in.pos.seq < head {
+		return fmt.Errorf("core: checkpoint: info at seq %d before list head %d", in.pos.seq, head)
 	}
-	ci := ckptInfo{
-		Owner: in.owner, Pos: in.pos.seq, OrigSeq: in.origSeq,
-		ALock: in.alock, Xact: in.xact, Action: a,
+	c.varint(int64(in.owner))
+	c.flags(in.xact)
+	c.uvarint(in.pos.seq - head)
+	c.uvarint(in.origSeq)
+	c.varint(int64(in.alock))
+	c.b = event.AppendAction(c.b, in.action)
+
+	c.elems = append(c.elems[:0], in.ls.small...)
+	for el := range in.ls.m {
+		c.elems = append(c.elems, el)
 	}
-	elems := in.ls.Elems()
-	sort.Slice(elems, func(i, j int) bool {
-		a, b := elems[i], elems[j]
-		if a.Kind != b.Kind {
-			return a.Kind < b.Kind
-		}
-		if a.Tid != b.Tid {
-			return a.Tid < b.Tid
-		}
-		if a.Obj != b.Obj {
-			return a.Obj < b.Obj
-		}
-		return a.Field < b.Field
+	slices.SortFunc(c.elems, func(a, b Elem) int {
+		return cmp.Or(cmp.Compare(a.Kind, b.Kind), cmp.Compare(a.Tid, b.Tid),
+			cmp.Compare(a.Obj, b.Obj), cmp.Compare(a.Field, b.Field))
 	})
-	for _, el := range elems {
-		ci.Lockset = append(ci.Lockset, ckptElem{K: event.FieldID(el.Kind), T: el.Tid, O: el.Obj, F: el.Field})
+	c.uvarint(uint64(len(c.elems)))
+	for _, el := range c.elems {
+		c.uvarint(uint64(el.Kind))
+		switch el.Kind {
+		case ElemThread:
+			c.varint(int64(el.Tid))
+		case ElemVolatile, ElemVar:
+			c.varint(int64(el.Obj))
+			c.varint(int64(el.Field))
+		case ElemTL:
+		default:
+			return fmt.Errorf("core: checkpoint: lockset element of kind %d", el.Kind)
+		}
 	}
+
+	c.tids = c.tids[:0]
 	for t := range in.hbAfter {
-		ci.HBAfter = append(ci.HBAfter, t)
+		c.tids = append(c.tids, t)
 	}
-	slices.Sort(ci.HBAfter)
-	return ci, nil
+	slices.Sort(c.tids)
+	c.uvarint(uint64(len(c.tids)))
+	for _, t := range c.tids {
+		c.varint(int64(t))
+	}
+	return nil
 }
 
 // RestoreEngine rebuilds an engine from a checkpoint written by
 // Checkpoint. The snapshot carries the engine's configuration; attach
 // supplies the process-local telemetry and fault-injection attachments.
 // A corrupt snapshot (torn write, checksum mismatch, unknown version)
-// is an error — never a silently wrong detector.
+// is an error — never a silently wrong detector, and never a panic or
+// an allocation the snapshot's own bytes cannot back.
 //
-// RestoreEngine consumes exactly the checkpoint's two lines and nothing
-// past them: callers that pass a *bufio.Reader can keep reading their
-// own trailing records from the same stream (composed snapshots rely on
-// this — e.g. a serializability checker appending its graph state after
-// the engine snapshot).
+// RestoreEngine consumes exactly the checkpoint and nothing past it:
+// callers that pass a *bufio.Reader can keep reading their own trailing
+// records from the same stream (composed snapshots rely on this — e.g.
+// a serializability checker appending its graph state after the engine
+// snapshot).
 func RestoreEngine(r io.Reader, attach RestoreAttach) (*Engine, error) {
 	br, ok := r.(*bufio.Reader)
 	if !ok {
@@ -401,203 +375,325 @@ func RestoreEngine(r io.Reader, attach RestoreAttach) (*Engine, error) {
 		return nil, fmt.Errorf("core: not a %s snapshot", CheckpointFormatName)
 	}
 	if hdr.Version != CheckpointFormatVersion {
-		return nil, fmt.Errorf("core: unsupported checkpoint version %d", hdr.Version)
+		return nil, fmt.Errorf("core: unsupported checkpoint version %d (this build reads version %d)", hdr.Version, CheckpointFormatVersion)
 	}
-	line, err = readCkptLine(br)
-	if err != nil {
+	var word [8]byte
+	if _, err := io.ReadFull(br, word[:]); err != nil {
 		return nil, fmt.Errorf("core: checkpoint body missing (torn write?)")
 	}
-	var body ckptBody
-	if err := json.Unmarshal(line, &body); err != nil || len(body.Engine) == 0 {
-		return nil, fmt.Errorf("core: unreadable checkpoint body")
+	n := binary.LittleEndian.Uint64(word[:])
+	if n > math.MaxInt64 {
+		return nil, fmt.Errorf("core: checkpoint body length %d out of range", n)
 	}
-	if got := fmt.Sprintf("%08x", crc32.ChecksumIEEE(body.Engine)); got != body.CRC {
-		return nil, fmt.Errorf("core: checkpoint checksum mismatch (got %s, recorded %s)", got, body.CRC)
+	// Read the body in growing chunks rather than trusting the recorded
+	// length with one allocation: a torn or hostile length costs at most
+	// the bytes actually present.
+	var body bytes.Buffer
+	body.Grow(int(min(n, 1<<20)))
+	if _, err := io.CopyN(&body, br, int64(n)); err != nil {
+		return nil, fmt.Errorf("core: checkpoint body truncated at %d of %d bytes (torn write?)", body.Len(), n)
 	}
-	var p ckptPayload
-	if err := json.Unmarshal(body.Engine, &p); err != nil {
-		return nil, fmt.Errorf("core: decoding checkpoint: %w", err)
+	if _, err := io.ReadFull(br, word[:4]); err != nil {
+		return nil, fmt.Errorf("core: checkpoint checksum missing (torn write?)")
 	}
-	return restore(&p, attach)
+	if got, want := crc32.ChecksumIEEE(body.Bytes()), binary.LittleEndian.Uint32(word[:4]); got != want {
+		return nil, fmt.Errorf("core: checkpoint checksum mismatch (got %08x, recorded %08x)", got, want)
+	}
+	d := ckptDecoder{b: body.Bytes()}
+	e := d.engine(attach)
+	if d.err == nil && len(d.b) != 0 {
+		d.fail("%d trailing bytes", len(d.b))
+	}
+	if d.err != nil {
+		return nil, fmt.Errorf("core: decoding checkpoint: %w", d.err)
+	}
+	return e, nil
 }
 
 // readCkptLine reads one newline-terminated record without consuming
-// anything beyond it. A final unterminated line (no trailing newline
-// before EOF) is accepted; an empty read is an error.
+// anything beyond it.
 func readCkptLine(br *bufio.Reader) ([]byte, error) {
 	line, err := br.ReadBytes('\n')
-	if len(line) > 0 && line[len(line)-1] == '\n' {
-		return line[:len(line)-1], nil
+	if err != nil {
+		if err == io.EOF {
+			err = io.ErrUnexpectedEOF
+		}
+		return nil, err
 	}
-	if err == io.EOF && len(line) > 0 {
-		return line, nil
-	}
-	if err == nil {
-		err = io.ErrUnexpectedEOF
-	}
-	return nil, err
+	return line[:len(line)-1], nil
 }
 
-func restore(p *ckptPayload, attach RestoreAttach) (*Engine, error) {
-	co := p.Opts
-	opts := Options{
-		SC1: co.SC1, SC2: co.SC2, SC3: co.SC3, SC3MaxSegment: co.SC3MaxSegment,
-		XactSC: co.XactSC, Memoize: co.Memoize, HBCache: co.HBCache,
-		FastPath:         co.FastPath,
-		DisableAfterRace: co.DisableAfterRace,
-		GCThreshold:      co.GCThreshold, GCTrimFraction: co.GCTrimFraction,
-		PartialEager: co.PartialEager, TxnSemantics: co.TxnSemantics,
-		OnError: resilience.ErrorPolicy(co.OnError), MemoryBudget: co.MemoryBudget,
-		VarShards: co.VarShards, BrokenRule: co.BrokenRule,
-		Telemetry: attach.Telemetry, Injector: attach.Injector,
+// ckptDecoder reads a snapshot body. The first failure sticks in err
+// and every later read returns zero values, so decoding code checks err
+// only before using a decoded value to index, size or link state.
+type ckptDecoder struct {
+	b   []byte
+	err error
+}
+
+var errCkptShort = errors.New("body ends early")
+
+func (d *ckptDecoder) fail(format string, args ...any) {
+	if d.err == nil {
+		d.err = fmt.Errorf(format, args...)
 	}
+}
+
+func (d *ckptDecoder) uvarint() uint64 {
+	if d.err != nil {
+		return 0
+	}
+	u, n := binary.Uvarint(d.b)
+	if n <= 0 {
+		d.err = errCkptShort
+		return 0
+	}
+	d.b = d.b[n:]
+	return u
+}
+
+func (d *ckptDecoder) varint() int64 {
+	if d.err != nil {
+		return 0
+	}
+	v, n := binary.Varint(d.b)
+	if n <= 0 {
+		d.err = errCkptShort
+		return 0
+	}
+	d.b = d.b[n:]
+	return v
+}
+
+// int32 decodes a signed varint that must fit in 32 bits (thread ids,
+// field ids, channel capacities).
+func (d *ckptDecoder) int32() int32 {
+	v := d.varint()
+	if v < math.MinInt32 || v > math.MaxInt32 {
+		d.fail("value %d out of 32-bit range", v)
+		return 0
+	}
+	return int32(v)
+}
+
+// flags unpacks a word written by ckptEncoder.flags, refusing bits
+// beyond the ones it has places for.
+func (d *ckptDecoder) flags(flags ...*bool) {
+	u := d.uvarint()
+	if u>>len(flags) != 0 {
+		d.fail("unknown flag bits %#x", u)
+		return
+	}
+	for i, f := range flags {
+		*f = u&(1<<i) != 0
+	}
+}
+
+// flag unpacks a word holding one boolean.
+func (d *ckptDecoder) flag() bool {
+	var f bool
+	d.flags(&f)
+	return f
+}
+
+// count decodes a collection length. Every element takes at least
+// minBytes of body, so a count the remaining bytes cannot hold is
+// corruption, refused before it sizes an allocation.
+func (d *ckptDecoder) count(minBytes int) int {
+	u := d.uvarint()
+	if u > uint64(len(d.b)/minBytes) {
+		d.fail("count %d exceeds the %d bytes left", u, len(d.b))
+		return 0
+	}
+	return int(u)
+}
+
+func (d *ckptDecoder) action() event.Action {
+	if d.err != nil {
+		return event.Action{}
+	}
+	a, n, err := event.DecodeAction(d.b)
+	if err != nil {
+		d.err = err
+		return event.Action{}
+	}
+	d.b = d.b[n:]
+	return a
+}
+
+func (d *ckptDecoder) engine(attach RestoreAttach) *Engine {
+	opts := Options{Telemetry: attach.Telemetry, Injector: attach.Injector}
+	d.flags(optionFlags(&opts)...)
+	opts.SC3MaxSegment = int(d.varint())
+	opts.GCThreshold = int(d.varint())
+	if len(d.b) < 8 {
+		d.fail("%v", errCkptShort)
+		return nil
+	}
+	opts.GCTrimFraction = math.Float64frombits(binary.LittleEndian.Uint64(d.b))
+	d.b = d.b[8:]
+	opts.TxnSemantics = event.TxnSemantics(d.uvarint())
+	opts.OnError = resilience.ErrorPolicy(d.uvarint())
+	opts.MemoryBudget = int(d.varint())
+	shards := d.uvarint()
+	opts.BrokenRule = int(d.varint())
+	if shards == 0 || shards > maxCkptShards {
+		d.fail("shard count %d out of range", shards)
+	}
+	if d.err != nil {
+		return nil
+	}
+	opts.VarShards = int(shards)
 	e := NewEngine(opts)
 
-	// Event list: rebuild the contiguous cell chain and a seq index for
-	// re-anchoring Info positions.
-	cells := make(map[uint64]*cell, len(p.List.Actions)+1)
-	head := &cell{seq: p.List.HeadSeq}
-	cells[head.seq] = head
-	cur := head
-	for _, raw := range p.List.Actions {
-		a, err := event.UnmarshalAction(raw)
-		if err != nil {
-			return nil, fmt.Errorf("core: checkpoint list: %w", err)
-		}
-		cur.action = a
-		cur.filled = true
-		cur.next = &cell{seq: cur.seq + 1}
-		cur = cur.next
-		cells[cur.seq] = cur
+	// Event list: rebuild the contiguous cell chain; cells[i] is the
+	// cell at seq HeadSeq+i, the last one the sentinel.
+	headSeq := d.uvarint()
+	e.list.enqueued.Store(d.uvarint())
+	e.list.collected.Store(d.uvarint())
+	cells := make([]*cell, d.count(6)+1) // an action takes at least 6 bytes
+	cells[0] = &cell{seq: headSeq}
+	for i := 1; i < len(cells); i++ {
+		prev := cells[i-1]
+		prev.action = d.action()
+		prev.filled = true
+		cells[i] = &cell{seq: prev.seq + 1}
+		prev.next = cells[i]
 	}
-	e.list.head = head
-	e.list.tail.Store(cur)
-	e.list.length.Store(int64(len(p.List.Actions)))
-	e.list.enqueued.Store(p.List.Enqueued)
-	e.list.collected.Store(p.List.Collected)
+	if d.err != nil {
+		return nil
+	}
+	e.list.head = cells[0]
+	e.list.tail.Store(cells[len(cells)-1])
+	e.list.length.Store(int64(len(cells) - 1))
 
 	// Per-thread lock records, with published snapshots.
-	for _, ct := range p.Threads {
-		if len(ct.Depth) != len(ct.Stack) {
-			return nil, fmt.Errorf("core: checkpoint thread %v: %d stack entries, %d depths", ct.Tid, len(ct.Stack), len(ct.Depth))
-		}
-		tl := &threadLocks{held: make(map[event.Addr]int, len(ct.Stack))}
-		tl.stack = slices.Clone(ct.Stack)
-		for i, a := range ct.Stack {
-			tl.held[a] = ct.Depth[i]
+	for range d.count(2) {
+		tid := event.Tid(d.int32())
+		n := d.count(2)
+		tl := &threadLocks{held: make(map[event.Addr]int, n), stack: make([]event.Addr, n)}
+		for i := range tl.stack {
+			tl.stack[i] = event.Addr(d.varint())
+			tl.held[tl.stack[i]] = int(d.varint())
 		}
 		tl.mu.Lock()
 		tl.publishLocked()
 		tl.mu.Unlock()
-		e.locks.Store(ct.Tid, tl)
+		e.locks.Store(tid, tl)
 	}
 
 	// Channel conveyor state.
-	if len(p.Chans) > 0 {
-		snap := make(map[event.Addr]event.ChanState, len(p.Chans))
-		for _, cc := range p.Chans {
-			snap[cc.Obj] = event.ChanState{Cap: cc.Cap, Sends: cc.Sends, Recvs: cc.Recvs, Closed: cc.Closed}
+	if n := d.count(5); n > 0 {
+		snap := make(map[event.Addr]event.ChanState, n)
+		for range n {
+			a := event.Addr(d.varint())
+			snap[a] = event.ChanState{Cap: d.int32(), Sends: d.uvarint(), Recvs: d.uvarint(), Closed: d.flag()}
 		}
 		e.chans.Restore(snap)
 	}
 
 	// Variable table.
-	for _, cv := range p.Vars {
-		vs := &varState{
-			readsAllXact: cv.ReadsAllXact,
-			disabled:     cv.Disabled,
-			quarantined:  cv.Quarantined,
+	for range d.count(4) {
+		obj, field := event.Addr(d.varint()), event.FieldID(d.int32())
+		vs := &varState{}
+		var hasWrite bool
+		d.flags(&hasWrite, &vs.readsAllXact, &vs.disabled, &vs.quarantined)
+		if hasWrite {
+			vs.write = d.info(cells)
 		}
-		if cv.Write != nil {
-			in, err := restoreInfo(*cv.Write, cells)
-			if err != nil {
-				return nil, err
-			}
-			vs.write = in
-		}
-		if len(cv.Reads) > 0 {
-			vs.reads = make(map[event.Tid]*info, len(cv.Reads))
-			for _, ci := range cv.Reads {
-				in, err := restoreInfo(ci, cells)
-				if err != nil {
-					return nil, err
+		if n := d.count(12); n > 0 { // an Info takes at least 12 bytes
+			vs.reads = make(map[event.Tid]*info, n)
+			for range n {
+				if in := d.info(cells); in != nil {
+					vs.reads[in.owner] = in
 				}
-				vs.reads[ci.Owner] = in
 			}
 		}
-		sh := &e.varShards[varHash(cv.Obj, cv.Field)&e.shardMask]
-		fields, ok := sh.vars[cv.Obj]
+		if d.err != nil {
+			return nil
+		}
+		sh := &e.varShards[varHash(obj, field)&e.shardMask]
+		fields, ok := sh.vars[obj]
 		if !ok {
 			fields = make(map[event.FieldID]*varState)
-			sh.vars[cv.Obj] = fields
+			sh.vars[obj] = fields
 		}
-		fields[cv.Field] = vs
+		fields[field] = vs
 	}
 
 	// Counters: the hot-path sums land on stripe 0 (Stats sums stripes,
 	// so the distribution is unobservable); the rest on their atomics.
-	c := p.Counters
 	st := &e.stats[0]
-	st.accessesChecked.Store(c.AccessesChecked)
-	st.pairChecks.Store(c.PairChecks)
-	st.sc1Hits.Store(c.SC1Hits)
-	st.sc2Hits.Store(c.SC2Hits)
-	st.sc3Hits.Store(c.SC3Hits)
-	st.xactHits.Store(c.XactHits)
-	st.hbCacheHits.Store(c.HBCacheHits)
-	st.fastPathHits.Store(c.FastPathHits)
-	st.fullWalks.Store(c.FullWalks)
-	st.walkCells.Store(c.WalkCells)
-	st.races.Store(c.Races)
-	st.degradedChecks.Store(c.DegradedChecks)
-	e.varsTracked.Store(c.VarsTracked)
-	e.collections.Store(c.Collections)
-	e.infosAdvanced.Store(c.InfosAdvanced)
-	e.panicsRecovered.Store(c.PanicsRecovered)
-	e.varsQuarantined.Store(c.VarsQuarantined)
-	e.rung.Store(c.Rung)
-	e.escalations.Store(c.Escalations)
-	e.aggressiveGCs.Store(c.AggressiveGCs)
-	e.cacheSheds.Store(c.CacheSheds)
-	e.eagerSweeps.Store(c.EagerSweeps)
-	e.degraded.Store(c.Degraded)
+	for _, c := range []*atomic.Uint64{
+		&st.accessesChecked, &st.pairChecks, &st.sc1Hits, &st.sc2Hits, &st.sc3Hits,
+		&st.xactHits, &st.hbCacheHits, &st.fastPathHits, &st.fullWalks, &st.walkCells,
+		&st.races, &st.degradedChecks, &e.varsTracked, &e.collections,
+		&e.infosAdvanced, &e.panicsRecovered, &e.varsQuarantined, &e.escalations,
+		&e.aggressiveGCs, &e.cacheSheds, &e.eagerSweeps,
+	} {
+		c.Store(d.uvarint())
+	}
+	e.rung.Store(d.int32())
+	e.degraded.Store(d.flag())
 
-	if attach.Telemetry != nil {
-		for i := 1; i <= obs.NumRules && i < len(p.RuleFires); i++ {
-			attach.Telemetry.Rules[i].Add(p.RuleFires[i])
-		}
-		for i := 1; i <= obs.NumRules && i < len(p.WalkRuleHits); i++ {
-			attach.Telemetry.WalkRuleHits[i].Add(p.WalkRuleHits[i])
+	n := d.count(2)
+	if n > obs.NumRules {
+		d.fail("%d rule counters, this build has %d rules", n, obs.NumRules)
+	}
+	if d.err != nil {
+		return nil
+	}
+	tel := attach.Telemetry
+	for i := 1; i <= n; i++ {
+		if f := d.uvarint(); tel != nil {
+			tel.Rules[i].Add(f)
 		}
 	}
-	return e, nil
+	for i := 1; i <= n; i++ {
+		if h := d.uvarint(); tel != nil {
+			tel.WalkRuleHits[i].Add(h)
+		}
+	}
+	return e
 }
 
-// restoreInfo rebuilds one Info record and re-acquires its list
-// reference.
-func restoreInfo(ci ckptInfo, cells map[uint64]*cell) (*info, error) {
-	pos, ok := cells[ci.Pos]
-	if !ok {
-		return nil, fmt.Errorf("core: checkpoint info at seq %d: cell not retained", ci.Pos)
+// info decodes one Info record and re-acquires its list reference.
+// cells is the restored list indexed by offset from the head seq.
+func (d *ckptDecoder) info(cells []*cell) *info {
+	in := &info{owner: event.Tid(d.int32())}
+	in.xact = d.flag()
+	off := d.uvarint()
+	in.origSeq = d.uvarint()
+	in.alock = event.Addr(d.varint())
+	in.action = d.action()
+	if d.err == nil && off >= uint64(len(cells)) {
+		d.fail("info at offset %d past the %d retained cells", off, len(cells)-1)
 	}
-	a, err := event.UnmarshalAction(ci.Action)
-	if err != nil {
-		return nil, fmt.Errorf("core: checkpoint info action: %w", err)
+	ls := &Lockset{}
+	for range d.count(1) {
+		el := Elem{Kind: ElemKind(d.uvarint())}
+		switch el.Kind {
+		case ElemThread:
+			el.Tid = event.Tid(d.int32())
+		case ElemVolatile, ElemVar:
+			el.Obj, el.Field = event.Addr(d.varint()), event.FieldID(d.int32())
+		case ElemTL:
+		default:
+			d.fail("lockset element of kind %d", el.Kind)
+		}
+		ls.Add(el)
 	}
-	ls := NewLockset()
-	for _, el := range ci.Lockset {
-		ls.Add(Elem{Kind: ElemKind(el.K), Tid: el.T, Obj: el.O, Field: el.F})
-	}
-	in := &info{
-		pos: pos, owner: ci.Owner, ls: ls, alock: ci.ALock,
-		xact: ci.Xact, action: a, origSeq: ci.OrigSeq,
-	}
-	if len(ci.HBAfter) > 0 {
-		in.hbAfter = make(map[event.Tid]struct{}, len(ci.HBAfter))
-		for _, t := range ci.HBAfter {
-			in.hbAfter[t] = struct{}{}
+	in.ls = ls
+	if n := d.count(1); n > 0 {
+		in.hbAfter = make(map[event.Tid]struct{}, n)
+		for range n {
+			in.hbAfter[event.Tid(d.int32())] = struct{}{}
 		}
 	}
-	pos.refs.Add(1)
-	return in, nil
+	if d.err != nil {
+		return nil
+	}
+	in.pos = cells[off]
+	in.pos.refs.Add(1)
+	return in
 }

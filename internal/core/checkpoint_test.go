@@ -2,7 +2,9 @@ package core_test
 
 import (
 	"bytes"
+	"encoding/binary"
 	"fmt"
+	"hash/crc32"
 	"os"
 	"path/filepath"
 	"sort"
@@ -206,6 +208,16 @@ func TestCheckpointEveryPrefix(t *testing.T) {
 					if err != nil {
 						t.Fatalf("cut %d: restore: %v", cut, err)
 					}
+					// Checkpointing the restored engine reproduces the
+					// snapshot byte for byte: the encoding is
+					// deterministic and the decoder keeps every field.
+					var again bytes.Buffer
+					if err := restored.Checkpoint(&again); err != nil {
+						t.Fatalf("cut %d: re-checkpoint: %v", cut, err)
+					}
+					if !bytes.Equal(again.Bytes(), snap.Bytes()) {
+						t.Fatalf("cut %d: re-checkpoint of the restored engine differs (%d bytes, snapshot %d)", cut, again.Len(), snap.Len())
+					}
 					got = append(got, runGlobal(restored, tr, cut)...)
 
 					if gk := sortedKeys(got); !equalStrings(gk, baseKeys) {
@@ -225,10 +237,9 @@ func TestCheckpointEveryPrefix(t *testing.T) {
 	}
 }
 
-// TestCheckpointDetectsCorruption flips one byte of the serialized
-// payload and requires restore to refuse it — a torn or bit-rotten
-// snapshot must never silently restore a wrong detector.
-func TestCheckpointDetectsCorruption(t *testing.T) {
+// smallSnapshot checkpoints an engine that ran the first Section 2
+// scenario.
+func smallSnapshot(tb testing.TB) []byte {
 	tr := scenarios.All()[0].Trace
 	e := core.NewEngine(core.DefaultOptions())
 	for i := 0; i < tr.Len(); i++ {
@@ -236,36 +247,112 @@ func TestCheckpointDetectsCorruption(t *testing.T) {
 	}
 	var snap bytes.Buffer
 	if err := e.Checkpoint(&snap); err != nil {
-		t.Fatalf("checkpoint: %v", err)
+		tb.Fatalf("checkpoint: %v", err)
 	}
+	return snap.Bytes()
+}
 
-	// Sanity: the pristine snapshot restores.
-	if _, err := core.RestoreEngine(bytes.NewReader(snap.Bytes()), core.RestoreAttach{}); err != nil {
+// TestCheckpointDetectsCorruption damages a small snapshot every way a
+// disk or a replica can — every single byte flipped, every truncation
+// length — and requires restore to refuse each one with an error, never
+// a panic: a torn or bit-rotten snapshot must never silently restore a
+// wrong detector.
+func TestCheckpointDetectsCorruption(t *testing.T) {
+	raw := smallSnapshot(t)
+	if _, err := core.RestoreEngine(bytes.NewReader(raw), core.RestoreAttach{}); err != nil {
 		t.Fatalf("pristine restore: %v", err)
 	}
 
-	raw := snap.Bytes()
-	// Flip a byte inside the payload (past the header line, before the
-	// trailing CRC field at line end).
-	idx := bytes.IndexByte(raw, '\n') + 40
-	corrupt := append([]byte(nil), raw...)
-	if corrupt[idx] == 'x' {
-		corrupt[idx] = 'y'
-	} else {
-		corrupt[idx] = 'x'
+	for i := range raw {
+		corrupt := bytes.Clone(raw)
+		corrupt[i] ^= 0xff
+		if _, err := core.RestoreEngine(bytes.NewReader(corrupt), core.RestoreAttach{}); err == nil {
+			t.Fatalf("snapshot with byte %d of %d flipped restored without error", i, len(raw))
+		}
 	}
-	if _, err := core.RestoreEngine(bytes.NewReader(corrupt), core.RestoreAttach{}); err == nil {
-		t.Fatal("corrupted snapshot restored without error")
-	}
-
-	// A torn snapshot (header only) must fail too.
-	torn := raw[:bytes.IndexByte(raw, '\n')+1]
-	if _, err := core.RestoreEngine(bytes.NewReader(torn), core.RestoreAttach{}); err == nil {
-		t.Fatal("torn snapshot restored without error")
+	for n := range len(raw) {
+		if _, err := core.RestoreEngine(bytes.NewReader(raw[:n]), core.RestoreAttach{}); err == nil {
+			t.Fatalf("snapshot truncated to %d of %d bytes restored without error", n, len(raw))
+		}
 	}
 
-	// Garbage must fail.
 	if _, err := core.RestoreEngine(strings.NewReader("not a checkpoint\n"), core.RestoreAttach{}); err == nil {
 		t.Fatal("garbage restored without error")
 	}
+	// The previous release's JSON snapshot names its version in the
+	// refusal.
+	v1 := `{"format":"goldilocks-checkpoint","version":1}` + "\n" + `{"engine":{},"crc":"00000000"}` + "\n"
+	if _, err := core.RestoreEngine(strings.NewReader(v1), core.RestoreAttach{}); err == nil ||
+		!strings.Contains(err.Error(), "unsupported checkpoint version 1") {
+		t.Fatalf("version-1 snapshot: err = %v, want unsupported version 1", err)
+	}
+}
+
+// FuzzRestoreEngine feeds arbitrary bytes to RestoreEngine, seeded with
+// real snapshots. Each input is tried twice: as a whole snapshot, and
+// as a body sealed under a valid header, length and checksum — most
+// mutations of a whole snapshot only exercise the checksum, a sealed
+// body reaches the decoder. Restore must return an error or an engine,
+// never panic. An engine it does return must checkpoint, and that
+// checkpoint must restore and checkpoint again to the same bytes (an
+// accepted input need not be canonical — a varint may be padded, a
+// list unsorted — but one round trip makes it so).
+func FuzzRestoreEngine(f *testing.F) {
+	seeds := [][]byte{smallSnapshot(f)}
+	for _, name := range []string{"gc-aggressive", "budget-8", "txn-atomic-order"} {
+		e := core.NewEngine(ckptConfigs()[name].opts)
+		tr := tracegen.FromSeedConfig(1, tracegen.CommitHeavy())
+		for i := 0; i < tr.Len(); i++ {
+			e.Step(tr.At(i))
+		}
+		var snap bytes.Buffer
+		if err := e.Checkpoint(&snap); err != nil {
+			f.Fatal(err)
+		}
+		seeds = append(seeds, snap.Bytes())
+	}
+	for _, s := range seeds {
+		f.Add(s)
+		f.Add(snapshotBody(f, s))
+	}
+	f.Fuzz(func(t *testing.T, data []byte) {
+		for _, in := range [][]byte{data, sealBody(data)} {
+			e, err := core.RestoreEngine(bytes.NewReader(in), core.RestoreAttach{})
+			if err != nil {
+				continue
+			}
+			var once, twice bytes.Buffer
+			if err := e.Checkpoint(&once); err != nil {
+				t.Fatalf("checkpoint of a restored engine: %v", err)
+			}
+			e, err = core.RestoreEngine(bytes.NewReader(once.Bytes()), core.RestoreAttach{})
+			if err != nil {
+				t.Fatalf("restoring a restored engine's checkpoint: %v", err)
+			}
+			if err := e.Checkpoint(&twice); err != nil {
+				t.Fatalf("second checkpoint: %v", err)
+			}
+			if !bytes.Equal(once.Bytes(), twice.Bytes()) {
+				t.Fatalf("checkpoint is not a fixed point of restore: %d bytes, then %d", once.Len(), twice.Len())
+			}
+		}
+	})
+}
+
+// snapshotBody strips a snapshot's header line, length and checksum.
+func snapshotBody(tb testing.TB, snap []byte) []byte {
+	nl := bytes.IndexByte(snap, '\n')
+	if nl < 0 || len(snap) < nl+1+8+4 {
+		tb.Fatalf("malformed snapshot of %d bytes", len(snap))
+	}
+	return snap[nl+1+8 : len(snap)-4]
+}
+
+// sealBody frames body as a current-version snapshot with a valid
+// length and checksum.
+func sealBody(body []byte) []byte {
+	out := fmt.Appendf(nil, `{"format":%q,"version":%d}`+"\n", core.CheckpointFormatName, core.CheckpointFormatVersion)
+	out = binary.LittleEndian.AppendUint64(out, uint64(len(body)))
+	out = append(out, body...)
+	return binary.LittleEndian.AppendUint32(out, crc32.ChecksumIEEE(body))
 }

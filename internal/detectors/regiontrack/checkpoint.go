@@ -21,8 +21,8 @@ import (
 // the same edges, and the same verdict as an uninterrupted run.
 //
 //	{"format":"goldilocks-regiontrack","version":1}
-//	{"format":"goldilocks-checkpoint","version":1}   \  engine
-//	{"engine":{...},"crc":"..."}                     /  snapshot
+//	{"format":"goldilocks-checkpoint","version":2}   \  engine
+//	length | binary body | crc32                     /  snapshot
 //	{"graph":{...},"crc":"..."}
 
 // CheckpointFormatName identifies the checker snapshot format.

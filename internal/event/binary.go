@@ -104,17 +104,18 @@ func AppendFrame(dst []byte, typ byte, body []byte) []byte {
 	return binary.LittleEndian.AppendUint32(dst, crc)
 }
 
-// AppendEventFrame appends one action record frame to dst — the binary
-// counterpart of EncodeRecord, plus an optional trace span id (0 for
-// none) — and returns the extended slice. It
-// allocates nothing beyond dst's growth, so a streaming sender reusing
-// dst reaches steady-state zero allocations per event.
-func AppendEventFrame(dst []byte, a Action, span uint64) []byte {
-	start := len(dst)
-	dst = appendPaddedUvarint(dst, 0) // length hole, patched below
-	payloadStart := len(dst)
-	dst = append(dst, FrameEvent)
+// AppendAction appends the binary body of one action to dst and
+// returns the extended slice. It is the one binary action codec: event
+// frames (the session wire and binary trace files) carry exactly this
+// body, and engine checkpoints store every retained action with it.
+//
+//	flags | kind | zigzag(thread, obj, field, peer) | [uvarint span] | [sets]
+//
+// The span id is present only inside event frames (AppendEventFrame);
+// the read/write sets only when the action has them.
+func AppendAction(dst []byte, a Action) []byte { return appendAction(dst, &a, 0) }
 
+func appendAction(dst []byte, a *Action, span uint64) []byte {
 	var flags byte
 	if span != 0 {
 		flags |= frameFlagSpan
@@ -131,17 +132,32 @@ func AppendEventFrame(dst []byte, a Action, span uint64) []byte {
 		dst = binary.AppendUvarint(dst, span)
 	}
 	if flags&frameFlagSets != 0 {
-		dst = binary.AppendUvarint(dst, uint64(len(a.Reads)))
-		for _, v := range a.Reads {
-			dst = binary.AppendVarint(dst, int64(v.Obj))
-			dst = binary.AppendVarint(dst, int64(v.Field))
-		}
-		dst = binary.AppendUvarint(dst, uint64(len(a.Writes)))
-		for _, v := range a.Writes {
-			dst = binary.AppendVarint(dst, int64(v.Obj))
-			dst = binary.AppendVarint(dst, int64(v.Field))
-		}
+		dst = appendVars(dst, a.Reads)
+		dst = appendVars(dst, a.Writes)
 	}
+	return dst
+}
+
+func appendVars(dst []byte, vs []Variable) []byte {
+	dst = binary.AppendUvarint(dst, uint64(len(vs)))
+	for _, v := range vs {
+		dst = binary.AppendVarint(dst, int64(v.Obj))
+		dst = binary.AppendVarint(dst, int64(v.Field))
+	}
+	return dst
+}
+
+// AppendEventFrame appends one action record frame to dst — the binary
+// counterpart of EncodeRecord, plus an optional trace span id (0 for
+// none) — and returns the extended slice. It
+// allocates nothing beyond dst's growth, so a streaming sender reusing
+// dst reaches steady-state zero allocations per event.
+func AppendEventFrame(dst []byte, a Action, span uint64) []byte {
+	start := len(dst)
+	dst = appendPaddedUvarint(dst, 0) // length hole, patched below
+	payloadStart := len(dst)
+	dst = append(dst, FrameEvent)
+	dst = appendAction(dst, &a, span)
 
 	crc := crc32.ChecksumIEEE(dst[payloadStart:])
 	dst = binary.LittleEndian.AppendUint32(dst, crc)
@@ -201,9 +217,41 @@ func (e *errUnknownBinKind) Error() string {
 // ErrCorruptFrame for a structurally bad body.
 func DecodeEventFrame(body []byte) (Action, uint64, error) {
 	r := binReader{b: body}
+	var a Action
+	span, err := decodeAction(&r, &a)
+	if err == nil && len(r.b) != 0 {
+		err = ErrCorruptFrame
+	}
+	if err != nil {
+		return Action{}, 0, err
+	}
+	return a, span, nil
+}
+
+// DecodeAction parses one action body written by AppendAction from the
+// front of b and returns it with the number of bytes it took. Bodies
+// carrying a span id (event frames) are not action bodies and are
+// refused. The error is *errUnknownBinKind for an intact body of a
+// kind this reader does not know and ErrCorruptFrame otherwise.
+func DecodeAction(b []byte) (Action, int, error) {
+	r := binReader{b: b}
+	var a Action
+	span, err := decodeAction(&r, &a)
+	if err == nil && span != 0 {
+		err = ErrCorruptFrame
+	}
+	if err != nil {
+		return Action{}, 0, err
+	}
+	return a, len(b) - len(r.b), nil
+}
+
+// decodeAction decodes one action body from r into a and returns its
+// span id (0 when absent).
+func decodeAction(r *binReader, a *Action) (uint64, error) {
 	flags := r.byte()
 	kind := r.byte()
-	a := Action{
+	*a = Action{
 		Kind:   Kind(kind),
 		Thread: Tid(r.varint()),
 		Obj:    Addr(r.varint()),
@@ -215,30 +263,32 @@ func DecodeEventFrame(body []byte) (Action, uint64, error) {
 		span = r.uvarint()
 	}
 	if flags&frameFlagSets != 0 {
-		nr := r.uvarint()
-		if r.err || nr > uint64(len(r.b)) {
-			return Action{}, 0, ErrCorruptFrame
-		}
-		a.Reads = make([]Variable, nr)
-		for i := range a.Reads {
-			a.Reads[i] = Variable{Obj: Addr(r.varint()), Field: FieldID(r.varint())}
-		}
-		nw := r.uvarint()
-		if r.err || nw > uint64(len(r.b)) {
-			return Action{}, 0, ErrCorruptFrame
-		}
-		a.Writes = make([]Variable, nw)
-		for i := range a.Writes {
-			a.Writes[i] = Variable{Obj: Addr(r.varint()), Field: FieldID(r.varint())}
-		}
+		a.Reads = r.vars()
+		a.Writes = r.vars()
 	}
-	if r.err || len(r.b) != 0 {
-		return Action{}, 0, ErrCorruptFrame
+	if r.err {
+		return 0, ErrCorruptFrame
 	}
 	if int(kind) >= len(kindNames) || Kind(kind) == KindInvalid {
-		return Action{}, 0, &errUnknownBinKind{kind: kind}
+		return 0, &errUnknownBinKind{kind: kind}
 	}
-	return a, span, nil
+	return span, nil
+}
+
+// vars decodes a counted variable list. Each variable takes at least
+// two bytes, so a count the remaining bytes cannot hold is corruption,
+// caught before it sizes an allocation.
+func (r *binReader) vars() []Variable {
+	n := r.uvarint()
+	if r.err || n > uint64(len(r.b))/2 {
+		r.err = true
+		return nil
+	}
+	vs := make([]Variable, n)
+	for i := range vs {
+		vs[i] = Variable{Obj: Addr(r.varint()), Field: FieldID(r.varint())}
+	}
+	return vs
 }
 
 // BinHeaderFrame returns the header frame that opens every binary

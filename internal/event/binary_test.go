@@ -103,6 +103,51 @@ func TestBinaryGoldenVectors(t *testing.T) {
 	}
 }
 
+// TestActionCodec pins the one binary action codec: bodies written back
+// to back by AppendAction decode in order, each reporting the bytes it
+// took; a span-carrying event frame body is not an action body; every
+// truncation of a body is an error; and an event frame without a span
+// carries exactly the action body.
+func TestActionCodec(t *testing.T) {
+	tr := sampleTrace()
+	var buf []byte
+	for i := 0; i < tr.Len(); i++ {
+		buf = AppendAction(buf, tr.At(i))
+	}
+	rest := buf
+	for i := 0; i < tr.Len(); i++ {
+		a, n, err := DecodeAction(rest)
+		if err != nil {
+			t.Fatalf("action %d: %v", i, err)
+		}
+		if a.String() != tr.At(i).String() || len(a.Reads) != len(tr.At(i).Reads) || len(a.Writes) != len(tr.At(i).Writes) {
+			t.Fatalf("action %d = %v, want %v", i, a, tr.At(i))
+		}
+		body := AppendAction(nil, tr.At(i))
+		if n != len(body) {
+			t.Fatalf("action %d took %d bytes, body is %d", i, n, len(body))
+		}
+		for cut := range body {
+			if _, _, err := DecodeAction(body[:cut]); err == nil {
+				t.Fatalf("action %d truncated to %d of %d bytes decoded", i, cut, len(body))
+			}
+		}
+		frame := AppendEventFrame(nil, tr.At(i), 0)
+		if got := frame[5 : len(frame)-4]; !bytes.Equal(got, body) {
+			t.Fatalf("action %d: frame body %x, action body %x", i, got, body)
+		}
+		rest = rest[n:]
+	}
+	if len(rest) != 0 {
+		t.Fatalf("%d bytes left after the last action", len(rest))
+	}
+
+	frame := AppendEventFrame(nil, Read(1, 10, 0), 99)
+	if _, _, err := DecodeAction(frame[5 : len(frame)-4]); err == nil {
+		t.Fatal("a span-carrying frame body decoded as an action body")
+	}
+}
+
 // TestBinaryMinimalLengthPrefix checks that readers accept a minimally
 // encoded length prefix, not just the padded form writers emit.
 func TestBinaryMinimalLengthPrefix(t *testing.T) {
@@ -300,7 +345,7 @@ func FuzzBinaryStream(f *testing.F) {
 	sample := sampleBin(f)
 	f.Add(sample)
 	f.Add(BinHeaderFrame())
-	f.Add(sample[:len(sample)-3])       // torn final frame
+	f.Add(sample[:len(sample)-3])           // torn final frame
 	f.Add(sample[:len(BinHeaderFrame())+2]) // torn first event frame
 	f.Add([]byte("not a stream at all"))
 	corrupt := append([]byte(nil), sample...)

@@ -19,9 +19,8 @@ type jsonAction struct {
 }
 
 // MarshalAction serializes a single action in the same JSON shape trace
-// files use (greppable kind names, omitted zero fields). It is the
-// action payload of the goldilocksd wire protocol and of engine
-// checkpoints.
+// files use (greppable kind names, omitted zero fields). The
+// goldilocksd race frames carry it inside their JSON payload.
 func MarshalAction(a Action) ([]byte, error) {
 	return json.Marshal(jsonAction{
 		Kind:   a.Kind.String(),

@@ -2,9 +2,12 @@ package server_test
 
 import (
 	"context"
+	"fmt"
+	"hash/crc32"
 	"net"
 	"os"
 	"path/filepath"
+	"strings"
 	"testing"
 	"time"
 
@@ -169,6 +172,60 @@ func TestTornCheckpointQuarantined(t *testing.T) {
 		t.Fatalf("healthy session resumed=%v next=%d, want resumed at %d", c.Resumed(), c.Next(), sc.Trace.Len())
 	}
 	c.Abandon()
+}
+
+// TestV1CheckpointQuarantined: a session checkpoint in the previous
+// release's format — an engine snapshot with a JSON body, version 1 —
+// is quarantined at startup with a Corruption report naming the
+// unsupported version, while a healthy current-version session beside
+// it restores.
+func TestV1CheckpointQuarantined(t *testing.T) {
+	dir := t.TempDir()
+	sc := scenarios.All()[0]
+	srv1, err := server.New("127.0.0.1:0", server.Config{CheckpointDir: dir})
+	if err != nil {
+		t.Fatalf("starting server 1: %v", err)
+	}
+	if _, _, err := server.StreamTrace(srv1.Addr(), "good", sc.Trace); err != nil {
+		t.Fatalf("streaming healthy session: %v", err)
+	}
+	if err := srv1.Close(); err != nil {
+		t.Fatalf("closing server 1: %v", err)
+	}
+
+	body := `{"opts":{"sc1":true,"sc2":true,"sc3":true,"memoize":true},` +
+		`"list":{"head_seq":0,"actions":[],"enqueued":0,"collected":0},"counters":{}}`
+	v1 := fmt.Sprintf(`{"format":%q,"version":%d,"session":"old","applied":0,"races":0}`+"\n"+
+		`{"format":"goldilocks-checkpoint","version":1}`+"\n"+
+		`{"engine":%s,"crc":"%08x"}`+"\n",
+		server.SessionFormatName, server.SessionFormatVersion, body, crc32.ChecksumIEEE([]byte(body)))
+	if err := os.WriteFile(filepath.Join(dir, "old.ckpt"), []byte(v1), 0o644); err != nil {
+		t.Fatalf("planting version-1 checkpoint: %v", err)
+	}
+
+	srv2, err := server.New("127.0.0.1:0", server.Config{CheckpointDir: dir})
+	if err != nil {
+		t.Fatalf("server refused to start beside a version-1 checkpoint: %v", err)
+	}
+	defer srv2.Close()
+	qs := srv2.Quarantined()
+	if len(qs) != 1 || qs[0].Session != "old" {
+		t.Fatalf("quarantined = %+v, want exactly session \"old\"", qs)
+	}
+	if r := qs[0].Report; r == nil || r.Kind != resilience.Corruption || !strings.Contains(r.Detail, "unsupported checkpoint version 1") {
+		t.Fatalf("quarantine report = %+v, want Corruption naming version 1", r)
+	}
+	if _, err := os.Stat(filepath.Join(dir, "old.ckpt")); !os.IsNotExist(err) {
+		t.Fatalf("version-1 checkpoint still in the restore path: %v", err)
+	}
+	c, err := server.Dial(srv2.Addr(), "good")
+	if err != nil {
+		t.Fatalf("resuming healthy session: %v", err)
+	}
+	defer c.Abandon()
+	if !c.Resumed() || c.Next() != uint64(sc.Trace.Len()) {
+		t.Fatalf("healthy session resumed=%v next=%d, want resumed at %d", c.Resumed(), c.Next(), sc.Trace.Len())
+	}
 }
 
 // TestGarbageCheckpointQuarantined: a checkpoint file that is not even
