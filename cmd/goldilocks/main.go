@@ -74,7 +74,6 @@ type runConfig struct {
 	seed     int64
 	stats    bool
 	noSC     bool
-	fastPath bool // epoch fast path in the goldilocks engine
 	record   string
 	serial   bool   // record the run and check conflict-serializability
 	onError  string // quarantine | abort
@@ -100,7 +99,6 @@ func main() {
 		seed     = flag.Int64("seed", 1, "seed for the deterministic scheduler")
 		stats    = flag.Bool("stats", false, "print runtime and detector statistics")
 		noSC     = flag.Bool("no-shortcircuit", false, "disable the short-circuit checks (ablation)")
-		fastPath = flag.Bool("fastpath", true, "enable the epoch fast path in the goldilocks engine (verdicts are identical either way; ablation)")
 		record   = flag.String("record", "", "write the observed linearization to this file (.jsonl: checksummed streaming format; replay with cmd/racereplay)")
 		serial   = flag.Bool("serializability", false, "after the run, check conflict-serializability of its atomic regions (transactions and outermost lock-protected spans); a violation exits like a race")
 		onError  = flag.String("on-detector-error", "quarantine", "when a detector check panics: quarantine (drop the variable, keep running) or abort")
@@ -143,7 +141,6 @@ func main() {
 		seed:     *seed,
 		stats:    *stats,
 		noSC:     *noSC,
-		fastPath: *fastPath,
 		record:   *record,
 		serial:   *serial,
 		onError:  *onError,
@@ -302,7 +299,6 @@ func run(ctx context.Context, path string, c runConfig) (int, error) {
 		if c.noSC {
 			opts.SC1, opts.SC2, opts.SC3, opts.XactSC = false, false, false, false
 		}
-		opts.FastPath = c.fastPath
 		opts.OnError = errPolicy
 		opts.MemoryBudget = c.budget
 		opts.Telemetry = tel

@@ -47,7 +47,6 @@ func main() {
 		budget  = flag.Int("memory-budget", 0, "per-session event-list cell budget; over it the engine degrades gracefully (0: unbounded)")
 		onError = flag.String("on-detector-error", "quarantine", "when a detector check panics: quarantine (drop the variable, keep running) or abort")
 		noSC    = flag.Bool("no-shortcircuit", false, "disable the short-circuit checks in session engines (ablation)")
-		fastOff = flag.Bool("no-fastpath", false, "disable the epoch fast path in session engines (verdicts are identical either way; ablation)")
 		serial  = flag.Bool("serializability", false, "run a conflict-serializability checker per session (transactions and outermost lock-protected spans); the final ack carries the verdict")
 
 		clusterList = flag.String("cluster", "", "comma-separated member list; joins this daemon to the fleet (must include -join)")
@@ -77,7 +76,7 @@ func main() {
 	}
 	cfg := daemonConfig{
 		addr: *addr, ckptDir: *ckptDir, metricsAddr: *metrics,
-		queue: *queue, batch: *batch, budget: *budget, onError: *onError, noSC: *noSC, noFastPath: *fastOff,
+		queue: *queue, batch: *batch, budget: *budget, onError: *onError, noSC: *noSC,
 		serial:  *serial,
 		cluster: *clusterList, join: *join, replicas: *replicas, ckptEvery: *ckptEvery,
 		probe:       cluster.ProbeConfig{Interval: *probeIvl, Timeout: *probeTmo, SuspectAfter: *suspect},
@@ -96,7 +95,6 @@ type daemonConfig struct {
 	queue, batch, budget       int
 	onError                    string
 	noSC                       bool
-	noFastPath                 bool
 	serial                     bool
 	cluster, join              string
 	replicas, ckptEvery        int
@@ -116,9 +114,6 @@ func run(cfg daemonConfig) error {
 	opts := core.DefaultOptions()
 	if cfg.noSC {
 		opts.SC1, opts.SC2, opts.SC3, opts.XactSC = false, false, false, false
-	}
-	if cfg.noFastPath {
-		opts.FastPath = false
 	}
 	opts.OnError = errPolicy
 	opts.MemoryBudget = cfg.budget

@@ -63,7 +63,6 @@ func main() {
 		remote    = flag.String("remote", "", "replay through the goldilocksd at this address (or comma-separated cluster list, with failover) instead of an in-process detector (see docs/SERVICE.md)")
 		session   = flag.String("session", "", "session id for -remote (default: derived from the trace file name); a resumed session replays only the remaining suffix")
 		stopAfter = flag.Int("stop-after", 0, "with -remote: stream only this many actions, flush, and detach without closing (the session stays resumable; for restart drills)")
-		fastPath  = flag.Bool("fastpath", true, "enable the epoch fast path in the local goldilocks engine (detection verdicts are identical either way)")
 	)
 	flag.Parse()
 	if flag.NArg() != 1 {
@@ -71,7 +70,6 @@ func main() {
 		flag.Usage()
 		os.Exit(resilience.ExitUsage)
 	}
-	localFastPath = *fastPath
 	if *remote != "" {
 		n, err := replayRemote(flag.Arg(0), *remote, *session, *stopAfter, os.Stdout)
 		if err != nil {
@@ -134,14 +132,10 @@ func replaySerializability(path string, lockRegions bool, out *os.File) (int, er
 // set) is attached where the implementation supports telemetry — both
 // Goldilocks engines count the same event-level rule fires, so their
 // -stats-json output is directly comparable.
-// localFastPath mirrors -fastpath into the goldilocks factory.
-var localFastPath = true
-
 var detectorFactories = map[string]func(tel *obs.Telemetry) detect.Detector{
 	"goldilocks": func(tel *obs.Telemetry) detect.Detector {
 		opts := core.DefaultOptions()
 		opts.Telemetry = tel
-		opts.FastPath = localFastPath
 		return core.NewEngine(opts)
 	},
 	"spec": func(tel *obs.Telemetry) detect.Detector {

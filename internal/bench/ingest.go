@@ -15,14 +15,12 @@ import (
 
 // The ingest benchmark answers the question the stage histograms were
 // built for: where does an event's end-to-end latency go between a
-// client and a verdict? It runs the same synthetic workload three ways
-// — "local" applies actions directly to an engine (epoch fast path on),
-// "local_lockset" does the same with the fast path off (the pure
-// Goldilocks apply point), and "remote" streams through an in-process
-// goldilocksd over loopback TCP — with a tracer on every side, and
-// reports events/sec plus per-stage p50/p99 from the tracer's
-// histograms. local vs local_lockset is the epoch fast path's win at
-// the apply point; local vs remote is what the service pipeline costs.
+// client and a verdict? It runs the same synthetic workload two ways —
+// "local" applies actions directly to an engine, and "remote" streams
+// through an in-process goldilocksd over loopback TCP — with a tracer
+// on both sides, and reports events/sec plus per-stage p50/p99 from the
+// tracers' histograms. local vs remote is what the service pipeline
+// costs.
 
 // IngestConfig sizes the ingest benchmark.
 type IngestConfig struct {
@@ -74,7 +72,6 @@ type IngestReport struct {
 	EventsPerSession int        `json:"events_per_session"`
 	SampleEvery      int        `json:"sample_every"`
 	Local            IngestSide `json:"local"`
-	LocalLockset     IngestSide `json:"local_lockset"`
 	Remote           IngestSide `json:"remote"`
 }
 
@@ -82,8 +79,7 @@ type IngestReport struct {
 // a lock-protected read-modify-write loop over a per-session variable,
 // the service's steady-state shape (rules fire on acquire/release, no
 // races, nonempty lockset transfers). The per-session variable stays
-// thread-owned throughout, so the data accesses are exactly the traffic
-// the epoch fast path exists for.
+// thread-owned throughout, so every data access resolves by SC1.
 func ingestAction(w, i int) event.Action {
 	t := event.Tid(w*2 + 1)
 	lock := event.Addr(10 + w)
@@ -116,17 +112,15 @@ func stageSummaries(tr *obs.Tracer) []IngestStage {
 	return out
 }
 
-// ingestLocal runs the direct-apply side with the given fast-path
-// setting: one engine per session, direct Step calls, the apply stage
-// timed through the same tracer the daemon would use.
-func ingestLocal(cfg IngestConfig, fastPath bool) IngestSide {
+// ingestLocal runs the direct-apply side: one engine per session,
+// direct Step calls, the apply stage timed through the same tracer the
+// daemon would use.
+func ingestLocal(cfg IngestConfig) IngestSide {
 	total := cfg.Sessions * cfg.Events
 	tracer := obs.NewTracer(cfg.SampleEvery)
 	start := time.Now()
 	for w := 0; w < cfg.Sessions; w++ {
-		opts := core.DefaultOptions()
-		opts.FastPath = fastPath
-		eng := core.NewEngine(opts)
+		eng := core.NewEngine(core.DefaultOptions())
 		for i := 0; i < cfg.Events; i++ {
 			a := ingestAction(w, i)
 			if tracer.Sample() {
@@ -205,7 +199,7 @@ func ingestRemote(cfg IngestConfig) (IngestSide, error) {
 	}, nil
 }
 
-// Ingest runs the three-way ingest comparison and returns the report.
+// Ingest runs the local-vs-remote ingest comparison and returns the report.
 // progress receives one line per phase.
 func Ingest(cfg IngestConfig, progress func(string)) (IngestReport, error) {
 	cfg = cfg.withDefaults()
@@ -218,10 +212,8 @@ func Ingest(cfg IngestConfig, progress func(string)) (IngestReport, error) {
 			name, sd.Events, sd.ElapsedMS, sd.EventsPerSec))
 	}
 
-	rep.Local = ingestLocal(cfg, true)
+	rep.Local = ingestLocal(cfg)
 	report("local", rep.Local)
-	rep.LocalLockset = ingestLocal(cfg, false)
-	report("local-lockset", rep.LocalLockset)
 
 	var err error
 	if rep.Remote, err = ingestRemote(cfg); err != nil {
@@ -244,13 +236,7 @@ func FormatIngest(rep IngestReport) string {
 		}
 		return out
 	}
-	s += side("local (epoch)", rep.Local) + side("local-lockset", rep.LocalLockset)
-	s += side("remote", rep.Remote)
-	if rep.LocalLockset.EventsPerSec > 0 {
-		s += fmt.Sprintf("apply speedup (epoch/lockset): %.2fx\n",
-			rep.Local.EventsPerSec/rep.LocalLockset.EventsPerSec)
-	}
-	return s
+	return s + side("local", rep.Local) + side("remote", rep.Remote)
 }
 
 // MarshalIngest serializes the report for BENCH_ingest.json.

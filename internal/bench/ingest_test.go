@@ -17,8 +17,7 @@ func TestIngestSmall(t *testing.T) {
 		t.Fatalf("config echo = %+v", rep)
 	}
 	for name, side := range map[string]IngestSide{
-		"local": rep.Local, "local_lockset": rep.LocalLockset,
-		"remote": rep.Remote,
+		"local": rep.Local, "remote": rep.Remote,
 	} {
 		if side.Events != 800 {
 			t.Fatalf("%s events = %d, want 800", name, side.Events)

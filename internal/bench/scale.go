@@ -41,7 +41,6 @@ type EngineConfig struct {
 	Shards       int    `json:"shards"`
 	MemoryBudget int    `json:"memory_budget"`
 	GCThreshold  int    `json:"gc_threshold"`
-	FastPath     bool   `json:"fast_path"`
 	Detector     string `json:"detector"`
 }
 
@@ -85,9 +84,6 @@ func gitCommit() string {
 // operation it hammers the engine with.
 type scaleMix struct {
 	name string
-	// lockset forces the epoch fast path off for this mix, pinning the
-	// pure-lockset apply point as the comparison baseline.
-	lockset bool
 	// op performs one iteration for worker w (distinct thread id per
 	// worker) against e; i is the iteration counter.
 	op func(e *core.Engine, w, i int)
@@ -101,24 +97,9 @@ type scaleMix struct {
 // varState serialization is inherent to the algorithm (per-variable
 // check-then-install must be atomic), so this bounds the contention
 // floor rather than demonstrating speedup.
-// The "disjoint-lockset" mix is the same access pattern with the epoch
-// fast path disabled: the gap between it and "disjoint" at every procs
-// point is the fast path's win on thread-owned traffic, measured at
-// scale (docs/PERFORMANCE.md).
 var scaleMixes = []scaleMix{
 	{
 		name: "disjoint",
-		op: func(e *core.Engine, w, i int) {
-			t := event.Tid(w + 1)
-			o := event.Addr(1000 + w)
-			d := event.FieldID(i & 3)
-			e.Write(t, o, d)
-			e.Read(t, o, d)
-		},
-	},
-	{
-		name:    "disjoint-lockset",
-		lockset: true,
 		op: func(e *core.Engine, w, i int) {
 			t := event.Tid(w + 1)
 			o := event.Addr(1000 + w)
@@ -143,7 +124,7 @@ var scaleMixes = []scaleMix{
 // shared by every point's engine, so a live -metrics-addr endpoint sees
 // the cumulative rule-fire counters across the sweep.
 func Scale(procsList []int, perPoint time.Duration, tel *obs.Telemetry, progress func(string)) ScaleReport {
-	opts := scaleOptions(tel, false)
+	opts := scaleOptions(tel)
 	rep := ScaleReport{
 		NumCPU:    runtime.NumCPU(),
 		GoVersion: runtime.Version(),
@@ -152,7 +133,6 @@ func Scale(procsList []int, perPoint time.Duration, tel *obs.Telemetry, progress
 			Shards:       core.NewEngine(opts).ShardCount(),
 			MemoryBudget: opts.MemoryBudget,
 			GCThreshold:  opts.GCThreshold,
-			FastPath:     opts.FastPath,
 			Detector:     core.NewEngine(opts).Name(),
 		},
 		PerPointMS: float64(perPoint) / float64(time.Millisecond),
@@ -186,13 +166,10 @@ func Scale(procsList []int, perPoint time.Duration, tel *obs.Telemetry, progress
 }
 
 // scaleOptions is the engine configuration every sweep point runs with.
-func scaleOptions(tel *obs.Telemetry, lockset bool) core.Options {
+func scaleOptions(tel *obs.Telemetry) core.Options {
 	opts := core.DefaultOptions()
 	opts.MemoryBudget = 1 << 20
 	opts.Telemetry = tel
-	if lockset {
-		opts.FastPath = false
-	}
 	return opts
 }
 
@@ -200,7 +177,7 @@ func scaleOptions(tel *obs.Telemetry, lockset bool) core.Options {
 // fresh engine until the deadline, and the total operation count and
 // true elapsed time come back.
 func scaleOnePoint(mix scaleMix, procs int, perPoint time.Duration, tel *obs.Telemetry) (int64, time.Duration) {
-	e := core.NewEngine(scaleOptions(tel, mix.lockset))
+	e := core.NewEngine(scaleOptions(tel))
 
 	var stop atomic.Bool
 	var total atomic.Int64

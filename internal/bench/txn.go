@@ -129,7 +129,6 @@ func Txn(threadsList []int, commitsPerThread int, progress func(string)) TxnRepo
 			Shards:       core.NewEngine(opts).ShardCount(),
 			MemoryBudget: opts.MemoryBudget,
 			GCThreshold:  opts.GCThreshold,
-			FastPath:     opts.FastPath,
 			Detector:     core.NewEngine(opts).Name(),
 		},
 		CommitsPerThread: commitsPerThread,

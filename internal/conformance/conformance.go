@@ -35,7 +35,6 @@ package conformance
 
 import (
 	"fmt"
-	"reflect"
 	"sort"
 	"strings"
 	"sync"
@@ -103,68 +102,13 @@ func Variants() map[string]core.Options {
 	noSC := d
 	noSC.SC1, noSC.SC2, noSC.SC3, noSC.XactSC = false, false, false, false
 	noSC.Memoize, noSC.HBCache = false, false
-	noSC.FastPath = false
-
-	fastPathOff := d
-	fastPathOff.FastPath = false
 
 	return map[string]core.Options{
 		"gc-off":        gcOff,
 		"gc-aggressive": gcAggressive,
 		"shards-1":      oneShard,
 		"no-shortcircs": noSC,
-		"fastpath-off":  fastPathOff,
 	}
-}
-
-// FastPathParity is the epoch-fast-path differential: one trace, two
-// engines differing only in Options.FastPath, compared on everything
-// observable — verdicts including full provenance chains, the engine
-// Stats (modulo the FastPathHits counter itself, the one number the
-// fast path is allowed to change), and the Figure 5 rule-fire counts.
-// The fast path is a derived view of lockset state, so any difference
-// at all is a bug, not a tolerance.
-func FastPathParity(tr *event.Trace) *Divergence {
-	fail := func(format string, args ...any) *Divergence {
-		return &Divergence{Backend: "fastpath-parity", Detail: fmt.Sprintf(format, args...), Trace: tr}
-	}
-	if err := tr.Validate(); err != nil {
-		return fail("invalid trace: %v", err)
-	}
-	run := func(fastPath bool) ([]detect.Race, core.Stats, [obs.NumRules + 1]uint64) {
-		opts := core.DefaultOptions()
-		opts.FastPath = fastPath
-		opts.Telemetry = obs.NewTelemetry()
-		eng := core.NewEngine(opts)
-		races := detect.RunTrace(eng, tr)
-		return races, eng.Stats(), opts.Telemetry.RuleFires()
-	}
-	onRaces, onStats, onFires := run(true)
-	offRaces, offStats, offFires := run(false)
-
-	if got, want := raceKeys(onRaces), raceKeys(offRaces); !equalKeys(got, want) {
-		return fail("verdicts with fast path %v, without %v", got, want)
-	}
-	// Verdict identity is stronger than key equality: the completing and
-	// previous accesses and the whole provenance chain must match, since
-	// escalation hands the variable to the same lockset machinery.
-	for i := range onRaces {
-		if !reflect.DeepEqual(onRaces[i], offRaces[i]) {
-			return fail("race %d with fast path %+v (prov %v), without %+v (prov %v)",
-				i, onRaces[i], onRaces[i].Prov, offRaces[i], offRaces[i].Prov)
-		}
-	}
-	if offStats.FastPathHits != 0 {
-		return fail("FastPathHits = %d with the fast path disabled", offStats.FastPathHits)
-	}
-	onStats.FastPathHits = 0
-	if onStats != offStats {
-		return fail("stats with fast path %+v, without %+v", onStats, offStats)
-	}
-	if onFires != offFires {
-		return fail("rule fires with fast path %v, without %v", onFires, offFires)
-	}
-	return nil
 }
 
 // DegradedOptions returns an engine configuration whose memory governor
@@ -378,13 +322,6 @@ func Run(tr *event.Trace) Result {
 	}
 	if engFires := telOpts.Telemetry.RuleFires(); engFires != res.RuleFires {
 		return fail("variant:telemetry", "rule fires %v, spec %v", engFires, res.RuleFires)
-	}
-
-	// The epoch fast path must be observationally invisible: verdicts,
-	// provenance, Stats, and rule fires all identical with it on and off.
-	if d := FastPathParity(tr); d != nil {
-		res.Div = d
-		return res
 	}
 
 	// Degradation may only suppress reports, never invent them.

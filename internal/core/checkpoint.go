@@ -35,7 +35,7 @@ import (
 // bit-rotten snapshot is detected on load instead of silently restoring
 // a corrupt detector:
 //
-//	{"format":"goldilocks-checkpoint","version":2}\n
+//	{"format":"goldilocks-checkpoint","version":3}\n
 //	uint64 LE body length | body | uint32 LE crc32(body)
 //
 // The body is encoded straight from the engine's state, in this order
@@ -50,7 +50,8 @@ import (
 //	channels    n, then per channel (by addr): addr, cap, sends, recvs, closed
 //	variables   n, then per variable (by obj, field): obj, field, flag
 //	            bits, the write Info if any, n, n read Infos (by owner)
-//	counters    every Stats counter, the governor rung, the degraded bit
+//	counters    every live (not deprecated) Stats counter,
+//	            the governor rung, the degraded bit
 //	telemetry   n, then n rule fires and n walk-rule hits (rules 1..n;
 //	            n is 0 when the engine had no telemetry attached)
 //
@@ -67,9 +68,11 @@ import (
 // CheckpointFormatName identifies the snapshot format.
 const CheckpointFormatName = "goldilocks-checkpoint"
 
-// CheckpointFormatVersion is the current snapshot version. Version 1
-// (a JSON body) is not readable: restoring it is an error.
-const CheckpointFormatVersion = 2
+// CheckpointFormatVersion is the current snapshot version. Older
+// versions are not readable: restoring one is an error. Version 1 had a
+// JSON body; version 2 also carried the removed epoch fast path's
+// option bit and hit counter.
+const CheckpointFormatVersion = 3
 
 type ckptHeader struct {
 	Format  string `json:"format"`
@@ -85,7 +88,7 @@ const maxCkptShards = 1 << 16
 // optionFlags lists the boolean options in their snapshot bit order.
 func optionFlags(o *Options) []*bool {
 	return []*bool{&o.SC1, &o.SC2, &o.SC3, &o.XactSC, &o.Memoize, &o.HBCache,
-		&o.FastPath, &o.DisableAfterRace, &o.PartialEager}
+		&o.DisableAfterRace, &o.PartialEager}
 }
 
 // RestoreAttach carries the process-local attachments a restored engine
@@ -248,7 +251,7 @@ func (c *ckptEncoder) engine(e *Engine) error {
 	s := e.Stats()
 	for _, u := range []uint64{
 		s.AccessesChecked, s.PairChecks, s.SC1Hits, s.SC2Hits, s.SC3Hits,
-		s.XactHits, s.HBCacheHits, s.FastPathHits, s.FullWalks, s.WalkCells,
+		s.XactHits, s.HBCacheHits, s.FullWalks, s.WalkCells,
 		s.Races, s.DegradedChecks, s.VarsTracked, s.Collections,
 		s.InfosAdvanced, s.PanicsRecovered, s.VarsQuarantined, s.Escalations,
 		s.AggressiveGCs, s.CacheSheds, s.EagerSweeps,
@@ -626,7 +629,7 @@ func (d *ckptDecoder) engine(attach RestoreAttach) *Engine {
 	st := &e.stats[0]
 	for _, c := range []*atomic.Uint64{
 		&st.accessesChecked, &st.pairChecks, &st.sc1Hits, &st.sc2Hits, &st.sc3Hits,
-		&st.xactHits, &st.hbCacheHits, &st.fastPathHits, &st.fullWalks, &st.walkCells,
+		&st.xactHits, &st.hbCacheHits, &st.fullWalks, &st.walkCells,
 		&st.races, &st.degradedChecks, &e.varsTracked, &e.collections,
 		&e.infosAdvanced, &e.panicsRecovered, &e.varsQuarantined, &e.escalations,
 		&e.aggressiveGCs, &e.cacheSheds, &e.eagerSweeps,

@@ -43,19 +43,6 @@ type Options struct {
 	// later access by t is ordered too; repeated mixed
 	// plain/transactional checks then cost O(1).
 	HBCache bool
-	// FastPath enables the FastTrack-style epoch check in front of the
-	// lockset machinery: a plain access whose variable is still owned by
-	// the accessing thread (same last writer, no foreign readers for a
-	// write) is checked and installed in O(1), without touching the
-	// happens-before cache, the walk machinery, or the provenance path.
-	// The fast path is a derived view of the lockset state — it keeps no
-	// state of its own — and escalates to the full engine the moment
-	// ownership transfers (a foreign write/read-shared epoch, a
-	// transactional access, a traced variable). It is exact: verdicts,
-	// Figure 5 rule fires, and every Stats counter except FastPathHits
-	// are identical with the fast path on and off, which the conformance
-	// matrix (internal/conformance) enforces over the whole corpus.
-	FastPath bool
 	// DisableAfterRace stops checking a variable after its first race,
 	// matching the paper's measurement methodology. Arrays: the caller
 	// (runtime) is responsible for widening this to whole arrays.
@@ -125,7 +112,6 @@ func DefaultOptions() Options {
 		XactSC:         true,
 		Memoize:        true,
 		HBCache:        true,
-		FastPath:       true,
 		GCThreshold:    1 << 20,
 		GCTrimFraction: 0.10,
 		PartialEager:   true,
@@ -142,7 +128,6 @@ type Stats struct {
 	SC3Hits         uint64
 	XactHits        uint64
 	HBCacheHits     uint64 // pair checks resolved by the transitivity cache
-	FastPathHits    uint64 // accesses fully handled by the epoch fast path
 	FullWalks       uint64 // pair checks that needed a full traversal
 	WalkCells       uint64 // cells visited across all traversals
 	Races           uint64
@@ -161,6 +146,13 @@ type Stats struct {
 	CacheSheds      uint64 // rung-2 happens-before cache sheds
 	EagerSweeps     uint64 // rung-2/3 fully-eager Info sweeps
 	DegradedChecks  uint64 // rung-3 checks resolved by assumption
+
+	// Deprecated: FastPathHits is always 0. It counted the separate
+	// epoch-check tier, which was removed because SC1 is that check
+	// (same-owner hits land in SC1Hits). It stays only because the
+	// benchmark driver in perfbench/ still reads it, and it is not
+	// encoded in checkpoints.
+	FastPathHits uint64
 }
 
 // ShortCircuitRate returns the fraction of pair checks resolved by a
@@ -176,14 +168,11 @@ func (s Stats) ShortCircuitRate() float64 {
 	return float64(sc) / float64(s.PairChecks)
 }
 
-// FastPathRate returns the fraction of checked accesses fully handled
-// by the epoch fast path, in [0, 1]; 0 when no accesses were checked.
-func (s Stats) FastPathRate() float64 {
-	if s.AccessesChecked == 0 {
-		return 0
-	}
-	return float64(s.FastPathHits) / float64(s.AccessesChecked)
-}
+// FastPathRate always returns 0.
+//
+// Deprecated: kept with FastPathHits for the benchmark driver in
+// perfbench/; SC1 is the epoch check, see ShortCircuitRate.
+func (s Stats) FastPathRate() float64 { return 0 }
 
 // FullWalkRate returns the fraction of pair checks that fell through to
 // a full lockset computation, in [0, 1]; 0 when no checks ran.
@@ -293,12 +282,11 @@ type statStripe struct {
 	sc3Hits         atomic.Uint64
 	xactHits        atomic.Uint64
 	hbCacheHits     atomic.Uint64
-	fastPathHits    atomic.Uint64
 	fullWalks       atomic.Uint64
 	walkCells       atomic.Uint64
 	races           atomic.Uint64
 	degradedChecks  atomic.Uint64
-	_               [4]uint64
+	_               [5]uint64
 }
 
 // threadLocks tracks the monitors one thread currently holds, for the
@@ -452,7 +440,6 @@ func (e *Engine) Stats() Stats {
 		s.SC3Hits += st.sc3Hits.Load()
 		s.XactHits += st.xactHits.Load()
 		s.HBCacheHits += st.hbCacheHits.Load()
-		s.FastPathHits += st.fastPathHits.Load()
 		s.FullWalks += st.fullWalks.Load()
 		s.WalkCells += st.walkCells.Load()
 		s.Races += st.races.Load()

@@ -12,25 +12,35 @@ import (
 	"goldilocks/internal/tracegen"
 )
 
-// runBoth executes tr on two engines differing only in FastPath and
-// returns (races with fast path, stats with fast path, races without).
-func runBoth(tr *event.Trace) ([]detect.Race, core.Stats, []detect.Race) {
-	on := core.DefaultOptions()
-	on.FastPath = true
-	off := core.DefaultOptions()
-	off.FastPath = false
-	onEng := core.NewEngine(on)
-	onRaces := detect.RunTrace(onEng, tr)
-	offRaces := detect.RunTrace(core.NewEngine(off), tr)
-	return onRaces, onEng.Stats(), offRaces
+// checkOwnershipTransfer runs tr on the engine under sem and requires
+// the verdict to be racy, the engine's races to equal the executable
+// specification's race for race, and the trace to pass the whole
+// conformance matrix.
+func checkOwnershipTransfer(t *testing.T, tr *event.Trace, sem event.TxnSemantics, racy bool) {
+	t.Helper()
+	if err := tr.Validate(); err != nil {
+		t.Fatalf("invalid trace: %v", err)
+	}
+	opts := core.DefaultOptions()
+	opts.TxnSemantics = sem
+	races := detect.RunTrace(core.NewEngine(opts), tr)
+	if got := len(races) > 0; got != racy {
+		t.Errorf("racy = %v, want %v (races %v)", got, racy, races)
+	}
+	spec := detect.RunTrace(core.NewSpecEngineSem(sem), tr)
+	if got, want := raceKeys(races), raceKeys(spec); !reflect.DeepEqual(got, want) {
+		t.Errorf("engine races %v, spec %v", got, want)
+	}
+	if d := conformance.Check(tr); d != nil {
+		t.Errorf("conformance: %v", d)
+	}
 }
 
-// TestEscalationEdges drives every epoch→lockset ownership-transfer
-// trigger through the fast path: in each case the variable starts
-// thread-owned (so the fast path engages, asserted via FastPathHits),
-// then ownership transfers through one synchronization vocabulary, and
-// the escalated variable must produce verdicts — including the full
-// provenance chain — identical to the always-lockset engine's.
+// TestEscalationEdges covers every way a thread-owned variable escalates
+// to shared: in each case the variable starts owned by one thread (its
+// checks resolve by SC1), then ownership transfers through one
+// synchronization vocabulary, and the check after the transfer must
+// reach the right verdict through the rest of the lockset machinery.
 func TestEscalationEdges(t *testing.T) {
 	const (
 		x    event.Addr = 10 // the handed-off data object
@@ -42,8 +52,9 @@ func TestEscalationEdges(t *testing.T) {
 	cases := []struct {
 		name string
 		tr   *event.Trace
-		// racy is the ground-truth verdict, double-checked against both
-		// engines so the table stays honest about what each case tests.
+		// racy is the ground-truth verdict, double-checked against the
+		// spec engine and the conformance matrix so the table stays
+		// honest about what each case tests.
 		racy bool
 	}{
 		{
@@ -74,15 +85,15 @@ func TestEscalationEdges(t *testing.T) {
 			name: "lock-handoff",
 			tr: event.NewBuilder().
 				Fork(1, 2).
-				Write(1, x, 0).Write(1, x, 0). // fast-path territory
+				Write(1, x, 0).Write(1, x, 0). // thread-owned: SC1
 				Acquire(1, lk).Write(1, x, 0).Release(1, lk).
-				Acquire(2, lk).Write(2, x, 0).Release(2, lk). // escalates here
+				Acquire(2, lk).Write(2, x, 0).Release(2, lk). // shared from here
 				Trace(),
 			racy: false,
 		},
 		{
 			// Disjoint locks: the lockset intersection between t1's release
-			// and t2's acquire is empty, so escalation must report the race.
+			// and t2's acquire is empty, so the transfer is a race.
 			name: "lock-handoff-racy",
 			tr: event.NewBuilder().
 				Fork(1, 2).
@@ -150,7 +161,7 @@ func TestEscalationEdges(t *testing.T) {
 			name: "commit-handoff",
 			tr: event.NewBuilder().
 				Fork(1, 2).
-				Write(1, spin, 0).Write(1, spin, 0). // plain fast-path traffic
+				Write(1, spin, 0).Write(1, spin, 0). // plain thread-owned traffic
 				Commit(1, nil, []event.Variable{{Obj: x, Field: 0}}).
 				Commit(2, []event.Variable{{Obj: x, Field: 0}}, nil).
 				Trace(),
@@ -159,42 +170,21 @@ func TestEscalationEdges(t *testing.T) {
 	}
 	for _, c := range cases {
 		t.Run(c.name, func(t *testing.T) {
-			if err := c.tr.Validate(); err != nil {
-				t.Fatalf("invalid trace: %v", err)
-			}
-			onRaces, onStats, offRaces := runBoth(c.tr)
-			if onStats.FastPathHits == 0 {
-				t.Error("fast path never engaged; the case does not test escalation")
-			}
-			if (len(onRaces) > 0) != c.racy {
-				t.Errorf("fast-path engine racy=%v, ground truth %v (races %v)",
-					len(onRaces) > 0, c.racy, onRaces)
-			}
-			if !reflect.DeepEqual(onRaces, offRaces) {
-				t.Errorf("escalated verdicts diverge:\n fast path: %+v\n lockset:   %+v", onRaces, offRaces)
-			}
-			for i := range onRaces {
-				if !reflect.DeepEqual(onRaces[i].Prov, offRaces[i].Prov) {
-					t.Errorf("race %d provenance diverges:\n fast path: %v\n lockset:   %v",
-						i, onRaces[i].Prov, offRaces[i].Prov)
-				}
-			}
+			checkOwnershipTransfer(t, c.tr, event.TxnSharedVariable, c.racy)
 		})
 	}
 }
 
-// TestCommitEscalationSemantics audits the epoch fast path against
-// transactional accesses: nested and interleaved commit(R,W) sequences
-// — including R∩W overlaps and semantics-sensitive disjoint sets — must
-// escalate fast-path-owned variables into the lockset machinery with
-// verdicts, provenance chains, and Stats (except FastPathHits)
-// identical to the always-lockset engine and to the executable
-// specification, under every TxnSemantics interpretation.
+// TestCommitEscalationSemantics hands thread-owned variables over
+// through transactions: nested and interleaved commit(R,W) sequences —
+// including R∩W overlaps and semantics-sensitive disjoint sets — must
+// reach the expected verdict, equal to the executable specification's,
+// under every TxnSemantics interpretation.
 func TestCommitEscalationSemantics(t *testing.T) {
 	const (
 		x event.Addr = 10
 		y event.Addr = 11
-		w event.Addr = 12 // warm-up object keeping the fast path engaged
+		w event.Addr = 12 // t1's plain traffic before the commits
 	)
 	vx := event.Variable{Obj: x, Field: 0}
 	vy := event.Variable{Obj: y, Field: 0}
@@ -275,7 +265,7 @@ func TestCommitEscalationSemantics(t *testing.T) {
 		{
 			// Interleaved commit chains across three threads: x publishes
 			// to t2, which republishes through y to t1 — a nested
-			// publication chain the fast path must follow rung by rung.
+			// publication chain the engine must follow rung by rung.
 			name: "commit-chain",
 			tr: event.NewBuilder().
 				Fork(1, 2).
@@ -296,84 +286,18 @@ func TestCommitEscalationSemantics(t *testing.T) {
 	for _, c := range cases {
 		for _, sem := range event.AllTxnSemantics() {
 			t.Run(fmt.Sprintf("%s/%v", c.name, sem), func(t *testing.T) {
-				if err := c.tr.Validate(); err != nil {
-					t.Fatalf("invalid trace: %v", err)
-				}
-				on := core.DefaultOptions()
-				on.FastPath = true
-				on.TxnSemantics = sem
-				off := core.DefaultOptions()
-				off.FastPath = false
-				off.TxnSemantics = sem
-				onEng, offEng := core.NewEngine(on), core.NewEngine(off)
-				onRaces := detect.RunTrace(onEng, c.tr)
-				offRaces := detect.RunTrace(offEng, c.tr)
-
-				if onEng.Stats().FastPathHits == 0 {
-					t.Error("fast path never engaged; the case does not test escalation")
-				}
-				if got, want := len(onRaces) > 0, c.racy[sem]; got != want {
-					t.Errorf("racy = %v, want %v (races %v)", got, want, onRaces)
-				}
-				if !reflect.DeepEqual(onRaces, offRaces) {
-					t.Errorf("escalated verdicts diverge:\n fast path: %+v\n lockset:   %+v", onRaces, offRaces)
-				}
-				for i := range onRaces {
-					if !reflect.DeepEqual(onRaces[i].Prov, offRaces[i].Prov) {
-						t.Errorf("race %d provenance diverges:\n fast path: %v\n lockset:   %v",
-							i, onRaces[i].Prov, offRaces[i].Prov)
-					}
-				}
-				onStats, offStats := onEng.Stats(), offEng.Stats()
-				onStats.FastPathHits = 0
-				if onStats != offStats {
-					t.Errorf("stats diverge\n fast path: %+v\n lockset:   %+v", onStats, offStats)
-				}
-				specRaces := detect.RunTrace(core.NewSpecEngineSem(sem), c.tr)
-				if len(specRaces) != len(onRaces) {
-					t.Errorf("spec reports %d races, engines %d", len(specRaces), len(onRaces))
-				}
+				checkOwnershipTransfer(t, c.tr, sem, c.racy[sem])
 			})
 		}
 	}
 }
 
-// TestFastPathStatsParity pins the counter contract on a handoff-heavy
-// generated workload: with the fast path on, every Stats field except
-// FastPathHits must be identical to the slow engine's — the fast path
-// replicates the short-circuit accounting it bypasses.
-func TestFastPathStatsParity(t *testing.T) {
-	for seed := int64(0); seed < 8; seed++ {
-		cfg := tracegen.Default()
-		cfg.Channels = int(seed) % 3
-		tr := tracegen.FromSeedConfig(seed, cfg)
-		on := core.DefaultOptions()
-		on.FastPath = true
-		off := core.DefaultOptions()
-		off.FastPath = false
-		onEng, offEng := core.NewEngine(on), core.NewEngine(off)
-		detect.RunTrace(onEng, tr)
-		detect.RunTrace(offEng, tr)
-		onStats, offStats := onEng.Stats(), offEng.Stats()
-		if onStats.FastPathHits == 0 {
-			t.Errorf("seed %d: fast path never engaged", seed)
-		}
-		if r := onStats.FastPathRate(); r <= 0 || r > 1 {
-			t.Errorf("seed %d: FastPathRate = %v, want (0,1]", seed, r)
-		}
-		onStats.FastPathHits = 0
-		if onStats != offStats {
-			t.Errorf("seed %d: stats diverge\n fast path: %+v\n lockset:   %+v", seed, onStats, offStats)
-		}
-	}
-}
-
-// TestEscalationStress hammers escalation under the race detector: a
-// channel- and lock-heavy generated trace is delivered concurrently
-// (one goroutine per trace thread, ticket-serialized to the trace
-// order) into a fast-path engine, whose verdicts must match the serial
-// always-lockset run. Any unsynchronized state shared between the
-// epoch check and the walk machinery is a -race failure here.
+// TestEscalationStress hammers ownership transfer under the race
+// detector: a channel- and lock-heavy generated trace is delivered
+// concurrently (one goroutine per trace thread, ticket-serialized to the
+// trace order), and the verdicts must match the serial run. Any
+// unsynchronized state shared between the short-circuits and the walk
+// machinery is a -race failure here.
 func TestEscalationStress(t *testing.T) {
 	for seed := int64(0); seed < 6; seed++ {
 		seed := seed
@@ -385,22 +309,10 @@ func TestEscalationStress(t *testing.T) {
 			cfg.Channels = 2
 			cfg.SyncBias = 0.8
 			tr := tracegen.FromSeedConfig(seed, cfg)
-			opts := core.DefaultOptions()
-			opts.FastPath = true
-			got := conformance.RunConcurrent(core.NewEngine(opts), tr)
-			off := core.DefaultOptions()
-			off.FastPath = false
-			want := detect.RunTrace(core.NewEngine(off), tr)
-			gotKeys := make([]string, len(got))
-			for i, r := range got {
-				gotKeys[i] = fmt.Sprintf("%d:%v", r.Pos, r.Var)
-			}
-			wantKeys := make([]string, len(want))
-			for i, r := range want {
-				wantKeys[i] = fmt.Sprintf("%d:%v", r.Pos, r.Var)
-			}
-			if !reflect.DeepEqual(gotKeys, wantKeys) {
-				t.Errorf("concurrent fast-path verdicts %v, serial lockset %v", gotKeys, wantKeys)
+			got := raceKeys(conformance.RunConcurrent(core.New(), tr))
+			want := raceKeys(detect.RunTrace(core.New(), tr))
+			if !reflect.DeepEqual(got, want) {
+				t.Errorf("concurrent verdicts %v, serial %v", got, want)
 			}
 		})
 	}

@@ -21,7 +21,7 @@ import (
 // the same edges, and the same verdict as an uninterrupted run.
 //
 //	{"format":"goldilocks-regiontrack","version":1}
-//	{"format":"goldilocks-checkpoint","version":2}   \  engine
+//	{"format":"goldilocks-checkpoint","version":3}   \  engine
 //	length | binary body | crc32                     /  snapshot
 //	{"graph":{...},"crc":"..."}
 

@@ -1,6 +1,7 @@
 package server_test
 
 import (
+	"bytes"
 	"context"
 	"fmt"
 	"hash/crc32"
@@ -11,6 +12,7 @@ import (
 	"testing"
 	"time"
 
+	"goldilocks/internal/core"
 	"goldilocks/internal/resilience"
 	"goldilocks/internal/scenarios"
 	"goldilocks/internal/server"
@@ -174,57 +176,77 @@ func TestTornCheckpointQuarantined(t *testing.T) {
 	c.Abandon()
 }
 
-// TestV1CheckpointQuarantined: a session checkpoint in the previous
-// release's format — an engine snapshot with a JSON body, version 1 —
-// is quarantined at startup with a Corruption report naming the
-// unsupported version, while a healthy current-version session beside
-// it restores.
-func TestV1CheckpointQuarantined(t *testing.T) {
-	dir := t.TempDir()
-	sc := scenarios.All()[0]
-	srv1, err := server.New("127.0.0.1:0", server.Config{CheckpointDir: dir})
-	if err != nil {
-		t.Fatalf("starting server 1: %v", err)
-	}
-	if _, _, err := server.StreamTrace(srv1.Addr(), "good", sc.Trace); err != nil {
-		t.Fatalf("streaming healthy session: %v", err)
-	}
-	if err := srv1.Close(); err != nil {
-		t.Fatalf("closing server 1: %v", err)
-	}
-
-	body := `{"opts":{"sc1":true,"sc2":true,"sc3":true,"memoize":true},` +
+// TestOldCheckpointQuarantined: a session checkpoint whose engine
+// snapshot is in a previous release's format is quarantined at startup
+// with a Corruption report naming the unsupported version, while a
+// healthy current-version session beside it restores. Version 1 had a
+// JSON body; version 2 had a binary body that still carried the
+// removed epoch fast path's option bit and hit counter.
+func TestOldCheckpointQuarantined(t *testing.T) {
+	v1Body := `{"opts":{"sc1":true,"sc2":true,"sc3":true,"memoize":true},` +
 		`"list":{"head_seq":0,"actions":[],"enqueued":0,"collected":0},"counters":{}}`
-	v1 := fmt.Sprintf(`{"format":%q,"version":%d,"session":"old","applied":0,"races":0}`+"\n"+
-		`{"format":"goldilocks-checkpoint","version":1}`+"\n"+
-		`{"engine":%s,"crc":"%08x"}`+"\n",
-		server.SessionFormatName, server.SessionFormatVersion, body, crc32.ChecksumIEEE([]byte(body)))
-	if err := os.WriteFile(filepath.Join(dir, "old.ckpt"), []byte(v1), 0o644); err != nil {
-		t.Fatalf("planting version-1 checkpoint: %v", err)
-	}
+	v1 := `{"format":"goldilocks-checkpoint","version":1}` + "\n" +
+		fmt.Sprintf(`{"engine":%s,"crc":"%08x"}`+"\n", v1Body, crc32.ChecksumIEEE([]byte(v1Body)))
 
-	srv2, err := server.New("127.0.0.1:0", server.Config{CheckpointDir: dir})
-	if err != nil {
-		t.Fatalf("server refused to start beside a version-1 checkpoint: %v", err)
+	// Restore refuses on the header's version before it reads the body,
+	// so a current sealed body under a version-2 header stands for a
+	// version-2 snapshot.
+	var cur bytes.Buffer
+	if err := core.NewEngine(core.DefaultOptions()).Checkpoint(&cur); err != nil {
+		t.Fatalf("checkpointing an empty engine: %v", err)
 	}
-	defer srv2.Close()
-	qs := srv2.Quarantined()
-	if len(qs) != 1 || qs[0].Session != "old" {
-		t.Fatalf("quarantined = %+v, want exactly session \"old\"", qs)
-	}
-	if r := qs[0].Report; r == nil || r.Kind != resilience.Corruption || !strings.Contains(r.Detail, "unsupported checkpoint version 1") {
-		t.Fatalf("quarantine report = %+v, want Corruption naming version 1", r)
-	}
-	if _, err := os.Stat(filepath.Join(dir, "old.ckpt")); !os.IsNotExist(err) {
-		t.Fatalf("version-1 checkpoint still in the restore path: %v", err)
-	}
-	c, err := server.Dial(srv2.Addr(), "good")
-	if err != nil {
-		t.Fatalf("resuming healthy session: %v", err)
-	}
-	defer c.Abandon()
-	if !c.Resumed() || c.Next() != uint64(sc.Trace.Len()) {
-		t.Fatalf("healthy session resumed=%v next=%d, want resumed at %d", c.Resumed(), c.Next(), sc.Trace.Len())
+	_, sealed, _ := bytes.Cut(cur.Bytes(), []byte("\n"))
+	v2 := `{"format":"goldilocks-checkpoint","version":2}` + "\n" + string(sealed)
+
+	for _, c := range []struct {
+		version int
+		engine  string
+	}{{1, v1}, {2, v2}} {
+		t.Run(fmt.Sprintf("version-%d", c.version), func(t *testing.T) {
+			dir := t.TempDir()
+			sc := scenarios.All()[0]
+			srv1, err := server.New("127.0.0.1:0", server.Config{CheckpointDir: dir})
+			if err != nil {
+				t.Fatalf("starting server 1: %v", err)
+			}
+			if _, _, err := server.StreamTrace(srv1.Addr(), "good", sc.Trace); err != nil {
+				t.Fatalf("streaming healthy session: %v", err)
+			}
+			if err := srv1.Close(); err != nil {
+				t.Fatalf("closing server 1: %v", err)
+			}
+
+			old := fmt.Sprintf(`{"format":%q,"version":%d,"session":"old","applied":0,"races":0}`+"\n",
+				server.SessionFormatName, server.SessionFormatVersion) + c.engine
+			if err := os.WriteFile(filepath.Join(dir, "old.ckpt"), []byte(old), 0o644); err != nil {
+				t.Fatalf("planting version-%d checkpoint: %v", c.version, err)
+			}
+
+			srv2, err := server.New("127.0.0.1:0", server.Config{CheckpointDir: dir})
+			if err != nil {
+				t.Fatalf("server refused to start beside a version-%d checkpoint: %v", c.version, err)
+			}
+			defer srv2.Close()
+			qs := srv2.Quarantined()
+			if len(qs) != 1 || qs[0].Session != "old" {
+				t.Fatalf("quarantined = %+v, want exactly session \"old\"", qs)
+			}
+			want := fmt.Sprintf("unsupported checkpoint version %d", c.version)
+			if r := qs[0].Report; r == nil || r.Kind != resilience.Corruption || !strings.Contains(r.Detail, want) {
+				t.Fatalf("quarantine report = %+v, want Corruption naming version %d", r, c.version)
+			}
+			if _, err := os.Stat(filepath.Join(dir, "old.ckpt")); !os.IsNotExist(err) {
+				t.Fatalf("version-%d checkpoint still in the restore path: %v", c.version, err)
+			}
+			cl, err := server.Dial(srv2.Addr(), "good")
+			if err != nil {
+				t.Fatalf("resuming healthy session: %v", err)
+			}
+			defer cl.Abandon()
+			if !cl.Resumed() || cl.Next() != uint64(sc.Trace.Len()) {
+				t.Fatalf("healthy session resumed=%v next=%d, want resumed at %d", cl.Resumed(), cl.Next(), sc.Trace.Len())
+			}
+		})
 	}
 }
 
