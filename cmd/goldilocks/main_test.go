@@ -216,59 +216,38 @@ class Main {
 	t.Fatal("no seed in 1..50 deadlocked the lock-inversion program")
 }
 
+// TestRecordFlagWritesReplayableTrace: -record writes the checksummed
+// streaming format whatever the extension, and the recording reads
+// back loss-free and replays race-free.
 func TestRecordFlagWritesReplayableTrace(t *testing.T) {
 	path := writeProgram(t, cleanSrc)
-	trace := filepath.Join(t.TempDir(), "out.json")
-	c := cfg()
-	c.policy, c.record = "log", trace
-	if _, err := run(context.Background(), path, c); err != nil {
-		t.Fatal(err)
-	}
-	f, err := os.Open(trace)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer f.Close()
-	tr, err := event.ReadTrace(f)
-	if err != nil {
-		t.Fatalf("recorded trace unreadable: %v", err)
-	}
-	if tr.Len() == 0 {
-		t.Error("empty recording")
-	}
-	// The recording replays race-free.
-	if rs := detect.RunTrace(core.New(), tr); len(rs) != 0 {
-		t.Errorf("replay found races: %v", rs)
-	}
-}
-
-// TestRecordStreamFormat: a .jsonl path selects the checksummed
-// streaming format, which reads back loss-free.
-func TestRecordStreamFormat(t *testing.T) {
-	path := writeProgram(t, cleanSrc)
-	trace := filepath.Join(t.TempDir(), "out.jsonl")
-	c := cfg()
-	c.policy, c.record = "log", trace
-	if _, err := run(context.Background(), path, c); err != nil {
-		t.Fatal(err)
-	}
-	f, err := os.Open(trace)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer f.Close()
-	tr, dropped, err := event.ReadTraceStream(f)
-	if err != nil {
-		t.Fatalf("streamed trace unreadable: %v", err)
-	}
-	if dropped != 0 {
-		t.Errorf("dropped = %d on an intact recording", dropped)
-	}
-	if tr.Len() == 0 {
-		t.Error("empty recording")
-	}
-	if rs := detect.RunTrace(core.New(), tr); len(rs) != 0 {
-		t.Errorf("replay found races: %v", rs)
+	for _, name := range []string{"out.json", "out.jsonl"} {
+		t.Run(name, func(t *testing.T) {
+			trace := filepath.Join(t.TempDir(), name)
+			c := cfg()
+			c.policy, c.record = "log", trace
+			if _, err := run(context.Background(), path, c); err != nil {
+				t.Fatal(err)
+			}
+			f, err := os.Open(trace)
+			if err != nil {
+				t.Fatal(err)
+			}
+			defer f.Close()
+			tr, dropped, err := event.ReadTraceStream(f)
+			if err != nil {
+				t.Fatalf("recorded trace unreadable: %v", err)
+			}
+			if dropped != 0 {
+				t.Errorf("dropped = %d on an intact recording", dropped)
+			}
+			if tr.Len() == 0 {
+				t.Error("empty recording")
+			}
+			if rs := detect.RunTrace(core.New(), tr); len(rs) != 0 {
+				t.Errorf("replay found races: %v", rs)
+			}
+		})
 	}
 }
 

@@ -205,7 +205,7 @@ func runCheck(cfg config, w io.Writer) (int, error) {
 			if err != nil {
 				return 0, err
 			}
-			tr, dropped, err := event.ReadTraceAuto(f)
+			tr, dropped, err := event.ReadTraceStream(f)
 			f.Close()
 			if err != nil {
 				return 0, fmt.Errorf("%s: %w", path, err)

@@ -5,6 +5,7 @@ import (
 	"errors"
 	"os"
 	"path/filepath"
+	"strings"
 	"testing"
 
 	"goldilocks/internal/event"
@@ -12,20 +13,6 @@ import (
 )
 
 func writeTraceFile(t *testing.T, tr *event.Trace) string {
-	t.Helper()
-	path := filepath.Join(t.TempDir(), "trace.json")
-	f, err := os.Create(path)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer f.Close()
-	if err := event.WriteTrace(f, tr); err != nil {
-		t.Fatal(err)
-	}
-	return path
-}
-
-func writeStreamFile(t *testing.T, tr *event.Trace) string {
 	t.Helper()
 	path := filepath.Join(t.TempDir(), "trace.jsonl")
 	f, err := os.Create(path)
@@ -84,16 +71,20 @@ func TestReplayDetectors(t *testing.T) {
 	}
 }
 
-// TestReplayStreamFormat: the auto-detected streaming format replays
-// identically to the legacy format.
+// TestReplayStreamFormat: the checksummed stream is the one trace file
+// format, so a legacy single-object JSON trace is refused as a runtime
+// failure instead of being replayed.
 func TestReplayStreamFormat(t *testing.T) {
-	racy := writeStreamFile(t, racyTrace())
-	n, err := replay(racy, "goldilocks", false, "", os.Stdout)
-	if err != nil {
+	legacy := filepath.Join(t.TempDir(), "legacy.json")
+	if err := os.WriteFile(legacy, []byte(`{"actions":[{"kind":"write","t":1,"o":10}]}`), 0o644); err != nil {
 		t.Fatal(err)
 	}
-	if n == 0 {
-		t.Error("no race on racy streaming trace")
+	n, err := replay(legacy, "goldilocks", false, "", os.Stdout)
+	if err == nil || !strings.Contains(err.Error(), "not a goldilocks-stream trace") {
+		t.Fatalf("legacy trace: err = %v, want a not-a-stream refusal", err)
+	}
+	if code := exitFor(n, err); code != resilience.ExitRuntime {
+		t.Errorf("legacy trace: exit code %d, want %d", code, resilience.ExitRuntime)
 	}
 }
 
@@ -146,14 +137,14 @@ func TestReplayOracle(t *testing.T) {
 }
 
 func TestReplayErrors(t *testing.T) {
-	n, err := replay(filepath.Join(t.TempDir(), "nope.json"), "goldilocks", false, "", os.Stdout)
+	n, err := replay(filepath.Join(t.TempDir(), "nope.jsonl"), "goldilocks", false, "", os.Stdout)
 	if err == nil {
 		t.Error("missing file accepted")
 	}
 	if code := exitFor(n, err); code != resilience.ExitRuntime {
 		t.Errorf("missing file: exit code %d, want %d", code, resilience.ExitRuntime)
 	}
-	bad := filepath.Join(t.TempDir(), "bad.json")
+	bad := filepath.Join(t.TempDir(), "bad.jsonl")
 	os.WriteFile(bad, []byte("{"), 0o644)
 	if _, err := replay(bad, "goldilocks", false, "", os.Stdout); err == nil {
 		t.Error("corrupt file accepted")

@@ -76,7 +76,7 @@ func LoadCorpus(dir string) ([]CorpusEntry, error) {
 		if err != nil {
 			return nil, err
 		}
-		tr, dropped, err := event.ReadTraceAuto(f)
+		tr, dropped, err := event.ReadTraceStream(f)
 		f.Close()
 		if err != nil {
 			return nil, fmt.Errorf("corpus %s: %w", filepath.Base(path), err)

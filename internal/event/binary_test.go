@@ -5,10 +5,10 @@ import (
 	"bytes"
 	"encoding/hex"
 	"errors"
+	"io"
+	"slices"
 	"strings"
 	"testing"
-
-	"goldilocks/internal/report"
 )
 
 // sampleTrace is the shared valid-trace fixture covering every kind,
@@ -34,12 +34,64 @@ func sampleTrace() *Trace {
 		Trace()
 }
 
+// sampleBin is the sample as a session stream: the header frame, then
+// one event frame per action, the i-th carrying span id i (0 = none).
 func sampleBin(tb testing.TB) []byte {
-	var buf bytes.Buffer
-	if err := WriteTraceBin(&buf, sampleTrace()); err != nil {
-		tb.Fatal(err)
+	tb.Helper()
+	buf := BinHeaderFrame()
+	tr := sampleTrace()
+	for i := 0; i < tr.Len(); i++ {
+		buf = AppendEventFrame(buf, tr.At(i), uint64(i))
 	}
-	return buf.Bytes()
+	return buf
+}
+
+// sameAction compares every field, read/write sets included.
+func sameAction(a, b Action) bool {
+	return a.Kind == b.Kind && a.Thread == b.Thread && a.Obj == b.Obj &&
+		a.Field == b.Field && a.Peer == b.Peer &&
+		slices.Equal(a.Reads, b.Reads) && slices.Equal(a.Writes, b.Writes)
+}
+
+// readFrames reads data with a FrameReader until it errors, checking
+// the header frame, decoding every event frame, and checking that each
+// decoded frame re-encodes and decodes to the same action and span. It
+// returns the decoded actions and spans and the error that ended the
+// read (io.EOF for a clean end).
+func readFrames(tb testing.TB, data []byte) ([]Action, []uint64, error) {
+	tb.Helper()
+	fr := NewFrameReader(bufio.NewReader(bytes.NewReader(data)))
+	var actions []Action
+	var spans []uint64
+	for n := 0; ; n++ {
+		typ, body, err := fr.Next()
+		if err != nil {
+			return actions, spans, err
+		}
+		if n == 0 {
+			if typ != FrameHeader {
+				tb.Fatalf("first frame type %#x, want header", typ)
+			}
+			if err := CheckBinHeader(body); err != nil {
+				tb.Fatalf("header: %v", err)
+			}
+			continue
+		}
+		if typ != FrameEvent {
+			tb.Fatalf("frame %d type %#x, want event", n, typ)
+		}
+		a, span, err := DecodeEventFrame(body)
+		if err != nil {
+			return actions, spans, err
+		}
+		re := AppendEventFrame(nil, a, span)
+		a2, span2, err := DecodeEventFrame(re[5 : len(re)-4])
+		if err != nil || !sameAction(a, a2) || span != span2 {
+			tb.Fatalf("frame %d: re-encoded %v span %d decodes to %v span %d (err %v)", n, a, span, a2, span2, err)
+		}
+		actions = append(actions, a)
+		spans = append(spans, span)
+	}
 }
 
 // TestBinaryGoldenVectors pins the wire encoding byte for byte. A
@@ -165,161 +217,105 @@ func TestBinaryMinimalLengthPrefix(t *testing.T) {
 	}
 }
 
-// TestBinaryRoundTrip writes the full-vocabulary sample and reads it
-// back with zero drops and identical actions.
+// TestBinaryRoundTrip streams the full-vocabulary sample through the
+// frame reader and decodes every action and span back unchanged, ending
+// in io.EOF at the last frame boundary.
 func TestBinaryRoundTrip(t *testing.T) {
 	want := sampleTrace()
-	tr, dropped, err := ReadTraceBin(bytes.NewReader(sampleBin(t)))
-	if err != nil || dropped != 0 {
-		t.Fatalf("ReadTraceBin: err=%v dropped=%d", err, dropped)
+	got, spans, err := readFrames(t, sampleBin(t))
+	if err != io.EOF {
+		t.Fatalf("stream ended with %v, want io.EOF", err)
 	}
-	if tr.Len() != want.Len() {
-		t.Fatalf("round trip length %d, want %d", tr.Len(), want.Len())
+	if len(got) != want.Len() {
+		t.Fatalf("decoded %d actions, want %d", len(got), want.Len())
 	}
-	for i := 0; i < want.Len(); i++ {
-		if tr.At(i).String() != want.At(i).String() {
-			t.Fatalf("action %d: %v != %v", i, tr.At(i), want.At(i))
+	for i, a := range got {
+		if !sameAction(a, want.At(i)) || spans[i] != uint64(i) {
+			t.Fatalf("frame %d = %v span %d, want %v span %d", i, a, spans[i], want.At(i), i)
 		}
 	}
 }
 
-// TestBinaryAutoSniff checks ReadTraceAuto routes binary, line-JSON,
-// and legacy inputs to the right reader.
-func TestBinaryAutoSniff(t *testing.T) {
-	tr, dropped, err := ReadTraceAuto(bytes.NewReader(sampleBin(t)))
-	if err != nil || dropped != 0 || tr.Len() != sampleTrace().Len() {
-		t.Fatalf("binary sniff: len=%d dropped=%d err=%v", tr.Len(), dropped, err)
-	}
-	var jbuf bytes.Buffer
-	if err := WriteTraceStream(&jbuf, sampleTrace()); err != nil {
-		t.Fatal(err)
-	}
-	tr, _, err = ReadTraceAuto(&jbuf)
-	if err != nil || tr.Len() != sampleTrace().Len() {
-		t.Fatalf("stream sniff: len=%d err=%v", tr.Len(), err)
-	}
-	tr, _, err = ReadTraceAuto(strings.NewReader(`{"actions":[{"kind":"write","t":1,"o":10}]}`))
-	if err != nil || tr.Len() != 1 {
-		t.Fatalf("legacy sniff: len=%d err=%v", tr.Len(), err)
-	}
-}
-
-// TestBinarySalvageTorn cuts the sample mid-frame: the valid prefix
-// must be salvaged and the error must be a structured corruption
-// report (the same type as resilience.Report).
+// TestBinarySalvageTorn cuts the sample at every byte: a cut on a frame
+// boundary ends cleanly with io.EOF, a cut inside a frame with
+// ErrTornFrame, and either way every frame before the cut decodes.
 func TestBinarySalvageTorn(t *testing.T) {
 	sample := sampleBin(t)
-	for _, cut := range []int{len(sample) - 1, len(sample) - 5, len(sample) - 9} {
-		tr, dropped, err := ReadTraceBin(bytes.NewReader(sample[:cut]))
-		var rep *report.Report
-		if !errors.As(err, &rep) {
-			t.Fatalf("cut %d: err = %v, want *report.Report", cut, err)
+	tr := sampleTrace()
+	// ends[k] is the offset just past frame k (frame 0 is the header).
+	ends := []int{len(BinHeaderFrame())}
+	for i := 0; i < tr.Len(); i++ {
+		ends = append(ends, ends[i]+len(AppendEventFrame(nil, tr.At(i), uint64(i))))
+	}
+	if ends[len(ends)-1] != len(sample) {
+		t.Fatalf("frame ends %v do not cover the %d-byte sample", ends, len(sample))
+	}
+	boundary := 0 // frames wholly before the cut
+	for cut := 1; cut <= len(sample); cut++ {
+		for boundary < len(ends) && ends[boundary] <= cut {
+			boundary++
 		}
-		if rep.Kind != report.Corruption {
-			t.Fatalf("cut %d: report kind %v, want Corruption", cut, rep.Kind)
+		got, _, err := readFrames(t, sample[:cut])
+		if boundary == 0 {
+			if err != ErrTornFrame {
+				t.Fatalf("cut %d inside the header: err = %v, want ErrTornFrame", cut, err)
+			}
+			continue
 		}
-		if dropped != 1 {
-			t.Fatalf("cut %d: dropped = %d, want 1", cut, dropped)
+		atBoundary := ends[boundary-1] == cut
+		switch {
+		case atBoundary && err != io.EOF:
+			t.Fatalf("cut %d on a frame boundary: err = %v, want io.EOF", cut, err)
+		case !atBoundary && err != ErrTornFrame:
+			t.Fatalf("cut %d inside a frame: err = %v, want ErrTornFrame", cut, err)
 		}
-		if verr := tr.Validate(); verr != nil {
-			t.Fatalf("cut %d: salvaged prefix invalid: %v", cut, verr)
-		}
-		if tr.Len() != sampleTrace().Len()-1 {
-			t.Fatalf("cut %d: salvaged %d actions, want %d", cut, tr.Len(), sampleTrace().Len()-1)
+		if len(got) != boundary-1 {
+			t.Fatalf("cut %d: decoded %d actions, want %d", cut, len(got), boundary-1)
 		}
 	}
 }
 
-// TestBinarySalvageCorruptCRC flips a payload byte in the middle of the
-// stream: the prefix before the bad frame survives, the error is a
-// corruption report, and nothing after the bad frame is trusted.
+// TestBinarySalvageCorruptCRC flips one checksum byte of each frame in
+// turn: that frame reads as ErrCorruptFrame and the frames before it
+// decode.
 func TestBinarySalvageCorruptCRC(t *testing.T) {
 	sample := sampleBin(t)
-	corrupt := append([]byte(nil), sample...)
-	// Flip a byte well past the header frame but before the end.
-	corrupt[len(corrupt)/2] ^= 0xff
-	tr, dropped, err := ReadTraceBin(bytes.NewReader(corrupt))
-	var rep *report.Report
-	if !errors.As(err, &rep) || rep.Kind != report.Corruption {
-		t.Fatalf("err = %v, want corruption report", err)
-	}
-	if dropped < 1 {
-		t.Fatalf("dropped = %d, want >= 1", dropped)
-	}
-	if verr := tr.Validate(); verr != nil {
-		t.Fatalf("salvaged prefix invalid: %v", verr)
-	}
-	if tr.Len() >= sampleTrace().Len() {
-		t.Fatalf("salvage kept %d actions out of %d despite corruption", tr.Len(), sampleTrace().Len())
+	tr := sampleTrace()
+	end := len(BinHeaderFrame())
+	for i := 0; i < tr.Len(); i++ {
+		end += len(AppendEventFrame(nil, tr.At(i), uint64(i)))
+		corrupt := append([]byte(nil), sample...)
+		corrupt[end-1] ^= 0xff // last checksum byte of frame i
+		got, _, err := readFrames(t, corrupt)
+		if err != ErrCorruptFrame {
+			t.Fatalf("frame %d: err = %v, want ErrCorruptFrame", i, err)
+		}
+		if len(got) != i {
+			t.Fatalf("frame %d: decoded %d actions before it, want %d", i, len(got), i)
+		}
 	}
 }
 
 // TestBinaryUnknownKind feeds an intact frame carrying a future kind:
-// the reader must salvage the prefix and name the kind in a structured
-// report rather than failing the checksum path.
+// the frame reads cleanly (its checksum holds) and the decode error
+// names the kind, distinguishing version skew from corruption.
 func TestBinaryUnknownKind(t *testing.T) {
-	var buf bytes.Buffer
-	bw, err := NewBinWriter(&buf)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := bw.Append(Action{Kind: KindWrite, Thread: 1, Obj: 10}); err != nil {
-		t.Fatal(err)
-	}
-	if err := bw.Flush(); err != nil {
-		t.Fatal(err)
-	}
+	data := AppendEventFrame(BinHeaderFrame(), Action{Kind: KindWrite, Thread: 1, Obj: 10}, 0)
 	// Hand-build an intact frame with kind byte 200.
-	body := []byte{0 /* flags */, 200 /* kind */, 2, 0, 0, 0}
-	buf.Write(AppendFrame(nil, FrameEvent, body))
-	tr, dropped, rerr := ReadTraceBin(&buf)
-	var rep *report.Report
-	if !errors.As(rerr, &rep) || rep.Kind != report.Corruption {
-		t.Fatalf("err = %v, want corruption report", rerr)
+	data = AppendFrame(data, FrameEvent, []byte{0 /* flags */, 200 /* kind */, 2, 0, 0, 0})
+	got, _, err := readFrames(t, data)
+	var unk *errUnknownBinKind
+	if !errors.As(err, &unk) || unk.kind != 200 {
+		t.Fatalf("err = %v, want an unknown-kind error for kind 200", err)
 	}
-	if !strings.Contains(rep.Detail, "kind 200") {
-		t.Fatalf("report does not name the kind: %q", rep.Detail)
+	if !strings.Contains(err.Error(), "kind 200") {
+		t.Fatalf("error does not name the kind: %q", err)
 	}
-	if tr.Len() != 1 || dropped != 1 {
-		t.Fatalf("salvage = %d actions, %d dropped; want 1, 1", tr.Len(), dropped)
+	if errors.Is(err, ErrCorruptFrame) {
+		t.Fatal("unknown kind reported as corruption")
 	}
-}
-
-// TestBinWriterFlushBoundaries mirrors the StreamWriter durability
-// contract: after Flush, tearing the underlying buffer anywhere only
-// loses frames appended since, bounding the loss window to under
-// autoFlushRecords records.
-func TestBinWriterFlushBoundaries(t *testing.T) {
-	var buf bytes.Buffer
-	bw, err := NewBinWriter(&buf)
-	if err != nil {
-		t.Fatal(err)
-	}
-	tr := sampleTrace()
-	for i := 0; i < tr.Len(); i++ {
-		if err := bw.Append(tr.At(i)); err != nil {
-			t.Fatal(err)
-		}
-		if i == 4 {
-			if err := bw.Flush(); err != nil {
-				t.Fatal(err)
-			}
-			// Everything up to here must already be durable and readable.
-			got, dropped, rerr := ReadTraceBin(bytes.NewReader(buf.Bytes()))
-			if rerr != nil || dropped != 0 || got.Len() != 5 {
-				t.Fatalf("after mid-stream flush: len=%d dropped=%d err=%v", got.Len(), dropped, rerr)
-			}
-		}
-	}
-	if err := bw.Close(); err != nil {
-		t.Fatal(err)
-	}
-	if err := bw.Append(Action{Kind: KindRead, Thread: 1, Obj: 10}); err == nil {
-		t.Fatal("Append after Close succeeded")
-	}
-	got, dropped, rerr := ReadTraceBin(bytes.NewReader(buf.Bytes()))
-	if rerr != nil || dropped != 0 || got.Len() != tr.Len() {
-		t.Fatalf("after close: len=%d dropped=%d err=%v", got.Len(), dropped, rerr)
+	if len(got) != 1 {
+		t.Fatalf("decoded %d actions before the unknown kind, want 1", len(got))
 	}
 }
 
@@ -336,11 +332,10 @@ func TestBinaryEncodeZeroAlloc(t *testing.T) {
 	}
 }
 
-// FuzzBinaryStream throws arbitrary bytes at the binary reader with the
-// same robustness contract as FuzzReadTraceStream: never panic, never
-// return an invalid trace, and any salvage is a valid re-serializable
-// trace; every error surfaced past the header is a structured
-// corruption report.
+// FuzzBinaryStream throws arbitrary bytes at the frame reader and the
+// event-frame decoder: never panic, end only in io.EOF, ErrTornFrame,
+// ErrCorruptFrame or an unknown-kind error, and every event frame that
+// decodes re-encodes and decodes to the same action and span.
 func FuzzBinaryStream(f *testing.F) {
 	sample := sampleBin(f)
 	f.Add(sample)
@@ -352,35 +347,31 @@ func FuzzBinaryStream(f *testing.F) {
 	corrupt[len(corrupt)/2] ^= 0xff
 	f.Add(corrupt)
 	f.Fuzz(func(t *testing.T, data []byte) {
-		tr, dropped, err := ReadTraceBin(bytes.NewReader(data))
-		if err != nil {
-			var rep *report.Report
-			if errors.As(err, &rep) {
-				if rep.Kind != report.Corruption {
-					t.Fatalf("binary reader produced report kind %v", rep.Kind)
+		fr := NewFrameReader(bufio.NewReader(bytes.NewReader(data)))
+		for {
+			typ, body, err := fr.Next()
+			if err != nil {
+				if err != io.EOF && err != ErrTornFrame && err != ErrCorruptFrame {
+					t.Fatalf("frame reader error %v", err)
 				}
-				if verr := tr.Validate(); verr != nil {
-					t.Fatalf("salvage alongside corruption report invalid: %v", verr)
-				}
+				return
 			}
-			return
-		}
-		if dropped < 0 {
-			t.Fatalf("negative dropped count %d", dropped)
-		}
-		if verr := tr.Validate(); verr != nil {
-			t.Fatalf("salvaged trace invalid: %v", verr)
-		}
-		var buf bytes.Buffer
-		if werr := WriteTraceBin(&buf, tr); werr != nil {
-			t.Fatalf("re-serialize: %v", werr)
-		}
-		tr2, dropped2, rerr := ReadTraceBin(&buf)
-		if rerr != nil || dropped2 != 0 {
-			t.Fatalf("round trip: err=%v dropped=%d", rerr, dropped2)
-		}
-		if tr2.Len() != tr.Len() {
-			t.Fatalf("round trip length %d, want %d", tr2.Len(), tr.Len())
+			if typ != FrameEvent {
+				continue
+			}
+			a, span, err := DecodeEventFrame(body)
+			if err != nil {
+				var unk *errUnknownBinKind
+				if err != ErrCorruptFrame && !errors.As(err, &unk) {
+					t.Fatalf("decode error %v", err)
+				}
+				continue
+			}
+			re := AppendEventFrame(nil, a, span)
+			a2, span2, err := DecodeEventFrame(re[5 : len(re)-4])
+			if err != nil || !sameAction(a, a2) || span != span2 {
+				t.Fatalf("re-encoded %v span %d decodes to %v span %d (err %v)", a, span, a2, span2, err)
+			}
 		}
 	})
 }

@@ -11,7 +11,9 @@ import (
 	"goldilocks/internal/report"
 )
 
-// The streaming trace format is line-delimited so that a truncated or
+// The streaming trace format is the one trace file format: recordings
+// (goldilocks -record), the conformance corpus and every replay tool
+// read and write it. It is line-delimited so that a truncated or
 // partially corrupted file still yields its valid prefix: a header line
 // identifying the format, then one record per action. Each record
 // carries a CRC-32 (IEEE) checksum of the serialized action, so torn
@@ -67,12 +69,13 @@ const (
 )
 
 // StreamWriter writes actions incrementally in the streaming format.
-// Unlike WriteTrace it needs no completed Trace up front, so a recording
-// cut short by a crash (or by fault injection) keeps everything written
-// so far — the header is flushed at creation and records auto-flush
-// every autoFlushRecords appends (or autoFlushBytes pending bytes), so
-// at most that window of records is at risk. Call Flush at commit
-// points that must be durable immediately, and Close when done.
+// Unlike WriteTraceStream it needs no completed Trace up front, so a
+// recording cut short by a crash (or by fault injection) keeps
+// everything written so far — the header is flushed at creation and
+// records auto-flush every autoFlushRecords appends (or autoFlushBytes
+// pending bytes), so at most that window of records is at risk. Call
+// Flush at commit points that must be durable immediately, and Close
+// when done.
 type StreamWriter struct {
 	w       *bufio.Writer
 	err     error
@@ -170,16 +173,7 @@ func CheckStreamHeader(line []byte) error {
 // EncodeRecord serializes one action as a checksummed record line
 // (newline-terminated), the unit of the streaming format.
 func EncodeRecord(a Action) ([]byte, error) {
-	ja := jsonAction{
-		Kind:   a.Kind.String(),
-		Thread: a.Thread,
-		Obj:    a.Obj,
-		Field:  a.Field,
-		Peer:   a.Peer,
-		Reads:  a.Reads,
-		Writes: a.Writes,
-	}
-	body, err := json.Marshal(ja)
+	body, err := MarshalAction(a)
 	if err != nil {
 		return nil, err
 	}
@@ -212,18 +206,22 @@ func WriteTraceStream(w io.Writer, tr *Trace) error {
 // distinguishable, plus everything after it).
 //
 // A torn or checksum-failing record is what a crash leaves behind, so
-// it ends the salvage silently. An *intact* record (checksum verifies,
-// JSON parses) whose kind this reader does not know is different: it
-// means the stream came from a newer writer, and silently discarding it
-// would misreport the execution. That case still returns the salvaged
-// prefix and dropped count, but err is a structured *report.Report
-// (Corruption kind, same type as resilience.Report) naming the unknown
-// kind and the version skew. err is otherwise non-nil only when the
-// header itself is unusable.
+// it ends the salvage silently. Two cases are reported instead, each
+// still returning the salvaged prefix and dropped count with err a
+// structured *report.Report (Corruption kind, same type as
+// resilience.Report): an *intact* record (checksum verifies, JSON
+// parses) whose kind this reader does not know, which means the stream
+// came from a newer writer; and a line the reader cannot read at all
+// (longer than the 16 MiB record bound, or a read error), after which
+// the rest of the input is lost uncounted. err is otherwise non-nil
+// only when the header itself is unusable.
 func ReadTraceStream(r io.Reader) (tr *Trace, dropped int, err error) {
 	sc := bufio.NewScanner(r)
 	sc.Buffer(make([]byte, 0, 64*1024), 16*1024*1024)
 	if !sc.Scan() {
+		if err := sc.Err(); err != nil {
+			return nil, 0, fmt.Errorf("event: reading stream header: %w", err)
+		}
 		return nil, 0, fmt.Errorf("event: empty stream trace")
 	}
 	if err := CheckStreamHeader(sc.Bytes()); err != nil {
@@ -231,7 +229,7 @@ func ReadTraceStream(r io.Reader) (tr *Trace, dropped int, err error) {
 	}
 
 	var actions []Action
-	var unknownRep *report.Report
+	var rep *report.Report
 	val := NewValidator()
 	record := 0
 	bad := false
@@ -248,7 +246,7 @@ func ReadTraceStream(r io.Reader) (tr *Trace, dropped int, err error) {
 		a, st, kindName := decodeStreamLine(line)
 		if st != recOK {
 			if st == recUnknownKind {
-				unknownRep = &report.Report{
+				rep = &report.Report{
 					Kind: report.Corruption,
 					Detail: fmt.Sprintf("unknown event kind %q in intact record %d (stream version <= %d reader; writer is newer)",
 						kindName, record, StreamFormatVersion),
@@ -267,11 +265,20 @@ func ReadTraceStream(r io.Reader) (tr *Trace, dropped int, err error) {
 		}
 		actions = append(actions, a)
 	}
-	// A read error (not io.EOF) ends the salvage the same way a bad
-	// record does: the prefix is what we have.
-	_ = sc.Err()
-	if unknownRep != nil {
-		return NewTrace(actions), dropped, unknownRep
+	if serr := sc.Err(); serr != nil {
+		// The scanner stops for good: the unreadable line is dropped and
+		// whatever follows it is never seen.
+		dropped++
+		if rep == nil {
+			rep = &report.Report{
+				Kind: report.Corruption,
+				Detail: fmt.Sprintf("stream record %d unreadable: %v (valid prefix of %d records salvaged; later records not counted)",
+					record+1, serr, len(actions)),
+			}
+		}
+	}
+	if rep != nil {
+		return NewTrace(actions), dropped, rep
 	}
 	return NewTrace(actions), dropped, nil
 }
@@ -406,36 +413,9 @@ func decodeStreamLine(line []byte) (Action, recDecodeStatus, string) {
 	if err := json.Unmarshal(rec.Action, &ja); err != nil {
 		return Action{}, recCorrupt, ""
 	}
-	k, ok := kindByName[ja.Kind]
-	if !ok || k == KindInvalid {
+	a, ok := ja.action()
+	if !ok {
 		return Action{}, recUnknownKind, ja.Kind
 	}
-	return Action{
-		Kind:   k,
-		Thread: ja.Thread,
-		Obj:    ja.Obj,
-		Field:  ja.Field,
-		Peer:   ja.Peer,
-		Reads:  ja.Reads,
-		Writes: ja.Writes,
-	}, recOK, ""
-}
-
-// ReadTraceAuto sniffs the format: a binary header frame selects
-// ReadTraceBin, a streaming header selects ReadTraceStream (both
-// returning any salvage count), anything else is read as the legacy
-// single-object format (dropped is always 0 there — the legacy format
-// is all-or-nothing). The binary sniff runs first: BinFormatName and
-// StreamFormatName are chosen so neither contains the other.
-func ReadTraceAuto(r io.Reader) (tr *Trace, dropped int, err error) {
-	br := bufio.NewReader(r)
-	peek, _ := br.Peek(64)
-	if bytes.Contains(peek, []byte(BinFormatName)) {
-		return ReadTraceBin(br)
-	}
-	if bytes.Contains(peek, []byte(StreamFormatName)) {
-		return ReadTraceStream(br)
-	}
-	tr, err = ReadTrace(br)
-	return tr, 0, err
+	return a, recOK, ""
 }

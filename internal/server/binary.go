@@ -13,8 +13,8 @@ import (
 
 // The session wire reuses internal/event's frame layout (padded uvarint
 // length | type | body | crc32) in both directions. Client to
-// server it is exactly the binary trace stream — a header frame, then
-// event frames — plus one-byte control frames; server to client the
+// server it is a header frame, then event frames, plus one-byte
+// control frames; server to client the
 // frame types below carry races, acks, and errors. Races and the final
 // ack's stats are JSON payloads inside their frames: they are rare, so
 // only the per-event hot path earns a hand-rolled layout.

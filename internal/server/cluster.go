@@ -149,7 +149,7 @@ func (s *Server) AdoptSession(data []byte) (applied uint64, err error) {
 	s.mu.Lock()
 	if s.closing {
 		s.mu.Unlock()
-		return 0, errors.New("server shutting down")
+		return 0, errShuttingDown
 	}
 	if old, ok := s.sessions[sess.id]; ok {
 		if old.attached {

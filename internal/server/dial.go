@@ -97,12 +97,11 @@ func sleepCtx(ctx context.Context, d time.Duration) error {
 }
 
 // retryableWelcome reports whether a welcome rejection is worth
-// retrying: "already has a live connection" clears once the server
-// notices the old connection died, and "shutting down" clears when the
-// fleet reassigns the session. Bad session ids and protocol mismatches
-// never clear.
-func retryableWelcome(msg string) bool {
-	return strings.Contains(msg, "live connection") || strings.Contains(msg, "shutting down")
+// retrying: codeBusy clears once the server notices the old connection
+// died, and codeShuttingDown clears when the fleet reassigns the
+// session. Every other code, and a refusal without one, never clears.
+func retryableWelcome(w welcome) bool {
+	return w.Code == codeBusy || w.Code == codeShuttingDown
 }
 
 // handshakeResult is one attach attempt's outcome.
@@ -112,7 +111,7 @@ type handshakeResult struct {
 	w    welcome
 }
 
-// errNotOwner is returned by connectOnce when the node redirected.
+// redirectError is returned by connectOnce when the node redirected.
 type redirectError struct{ owner string }
 
 func (e *redirectError) Error() string { return "redirected to " + e.owner }
@@ -154,13 +153,13 @@ func connectOnce(ctx context.Context, addr, session string) (*handshakeResult, e
 	if err := json.Unmarshal(line, &w); err != nil {
 		return fail(fmt.Errorf("server: bad welcome: %w", err))
 	}
-	if w.NotOwner {
+	if w.Code == codeNotOwner {
 		conn.Close()
 		return nil, &redirectError{owner: w.Owner}
 	}
 	if !w.OK {
 		msg := fmt.Sprintf("server: rejected session %q: %s", session, w.Error)
-		if retryableWelcome(w.Error) {
+		if retryableWelcome(w) {
 			return fail(errors.New(msg))
 		}
 		return fail(&terminalDialError{msg: msg})

@@ -41,18 +41,31 @@ type hello struct {
 
 // welcome is the server's reply to a hello. Next is the number of
 // actions the session has already applied: a resuming client must skip
-// that prefix of its linearization and stream from there. In cluster
-// mode a node that does not own the session refuses the attach with
-// NotOwner set and, when known, the owner's advertised address — the
-// client redials there (see DialFleet).
+// that prefix of its linearization and stream from there. A refusal
+// carries a Code (one of the code* constants) that clients branch on;
+// Error is the human-readable explanation. In cluster mode a node that
+// does not own the session refuses the attach with codeNotOwner and,
+// when known, the owner's advertised address — the client redials
+// there (see DialFleet).
 type welcome struct {
-	OK       bool   `json:"ok"`
-	Error    string `json:"error,omitempty"`
-	Resumed  bool   `json:"resumed,omitempty"`
-	Next     uint64 `json:"next"`
-	NotOwner bool   `json:"not_owner,omitempty"`
-	Owner    string `json:"owner,omitempty"`
+	OK      bool   `json:"ok"`
+	Code    string `json:"code,omitempty"`
+	Error   string `json:"error,omitempty"`
+	Resumed bool   `json:"resumed,omitempty"`
+	Next    uint64 `json:"next"`
+	Owner   string `json:"owner,omitempty"`
 }
+
+// Welcome rejection codes. Only codeBusy and codeShuttingDown are
+// transient (see retryableWelcome).
+const (
+	codeBusy         = "busy"          // the session has a live connection
+	codeShuttingDown = "shutting_down" // the daemon is draining
+	codeBadHandshake = "bad_handshake" // not a hello, or a malformed admin request
+	codeBadVersion   = "bad_version"   // protocol version mismatch
+	codeBadSession   = "bad_session"   // invalid session id
+	codeNotOwner     = "not_owner"     // cluster mode: another node owns the session
+)
 
 // wireRace is a race verdict pushed to the client, carrying enough to
 // rebuild the detect.Race a local engine would have returned: the

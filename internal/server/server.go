@@ -374,6 +374,12 @@ func validSessionID(id string) bool {
 	return true
 }
 
+// attach's refusals besides *notOwnerError.
+var (
+	errShuttingDown = errors.New("server shutting down")
+	errSessionBusy  = errors.New("session already has a live connection")
+)
+
 // notOwnerError is attach's refusal in cluster mode: the session hashes
 // to another node, whose advertised address the client should redial.
 type notOwnerError struct{ owner string }
@@ -387,15 +393,17 @@ func (e *notOwnerError) Error() string {
 
 // attach finds or creates the session and claims it for this
 // connection. existed reports whether the session predates this attach
-// (the client must then resume from session.applied). In cluster mode
-// an attach for a session owned elsewhere fails with *notOwnerError,
-// and a session owned here but not held live is promoted from its
-// follower replica when one exists.
+// (the client must then resume from session.applied). It fails with
+// errShuttingDown once Close or Drain has begun and with errSessionBusy
+// while another connection holds the session. In cluster mode an
+// attach for a session owned elsewhere fails with *notOwnerError, and a
+// session owned here but not held live is promoted from its follower
+// replica when one exists.
 func (s *Server) attach(id string, conn net.Conn) (sess *session, existed bool, err error) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	if s.closing {
-		return nil, false, errors.New("server shutting down")
+		return nil, false, errShuttingDown
 	}
 	if r := s.cfg.Router; r != nil {
 		if owner, self := r.Route(id); !self {
@@ -411,7 +419,7 @@ func (s *Server) attach(id string, conn net.Conn) (sess *session, existed bool, 
 		}
 	}
 	if sess.attached {
-		return nil, false, fmt.Errorf("session %q already has a live connection", id)
+		return nil, false, fmt.Errorf("%w: %q", errSessionBusy, id)
 	}
 	sess.attached = true
 	sess.conn = conn
@@ -522,38 +530,41 @@ func (s *Server) handleConn(conn net.Conn) {
 	}
 	var h hello
 	if err := json.Unmarshal(line, &h); err != nil || (h.Proto != ProtoName && h.Proto != AdminProtoName) {
-		writeWelcome(welcome{Error: "not a " + ProtoName + " handshake"})
+		writeWelcome(welcome{Code: codeBadHandshake, Error: "not a " + ProtoName + " handshake"})
 		return
 	}
 	if h.Proto == AdminProtoName {
 		var req adminReq
 		if err := json.Unmarshal(line, &req); err != nil {
-			writeWelcome(welcome{Error: "bad admin request"})
+			writeWelcome(welcome{Code: codeBadHandshake, Error: "bad admin request"})
 			return
 		}
 		s.handleAdmin(req, br, bw)
 		return
 	}
 	if h.Version != ProtoVersion {
-		writeWelcome(welcome{Error: fmt.Sprintf("unsupported protocol version %d (want %d)", h.Version, ProtoVersion)})
+		writeWelcome(welcome{Code: codeBadVersion, Error: fmt.Sprintf("unsupported protocol version %d (want %d)", h.Version, ProtoVersion)})
 		return
 	}
 	if !validSessionID(h.Session) {
-		writeWelcome(welcome{Error: "invalid session id (want [A-Za-z0-9._-]{1,64})"})
+		writeWelcome(welcome{Code: codeBadSession, Error: "invalid session id (want [A-Za-z0-9._-]{1,64})"})
 		return
 	}
 	sess, existed, err := s.attach(h.Session, conn)
 	if err != nil {
 		var noe *notOwnerError
-		if errors.As(err, &noe) {
+		switch {
+		case errors.As(err, &noe):
 			if s.redirects != nil {
 				s.redirects.Inc()
 			}
 			s.flight("redirect", h.Session, "owner "+noe.owner)
-			writeWelcome(welcome{Error: err.Error(), NotOwner: true, Owner: noe.owner})
-			return
+			writeWelcome(welcome{Code: codeNotOwner, Error: err.Error(), Owner: noe.owner})
+		case errors.Is(err, errShuttingDown):
+			writeWelcome(welcome{Code: codeShuttingDown, Error: err.Error()})
+		case errors.Is(err, errSessionBusy):
+			writeWelcome(welcome{Code: codeBusy, Error: err.Error()})
 		}
-		writeWelcome(welcome{Error: err.Error()})
 		return
 	}
 	queue := make(chan item, s.cfg.Queue)

@@ -1,10 +1,13 @@
 package server
 
 import (
+	"bufio"
 	"context"
 	"encoding/json"
+	"fmt"
 	"net"
 	"sync"
+	"sync/atomic"
 	"testing"
 	"time"
 
@@ -171,5 +174,135 @@ func TestLateReleaseKeepsReattach(t *testing.T) {
 	}
 	if _, _, err := srv.attach("late", old); err == nil {
 		t.Fatal("a second live connection was accepted")
+	}
+}
+
+// codeRouter routes every session to a fixed other node.
+type codeRouter struct{}
+
+func (codeRouter) Route(string) (string, bool) { return "owner:1", false }
+
+// readWelcome hands one connection to s's handler, sends helloLine and
+// returns the welcome.
+func readWelcome(t *testing.T, s *Server, helloLine string) welcome {
+	t.Helper()
+	conn, peer := net.Pipe()
+	defer conn.Close()
+	s.wg.Add(1)
+	go s.handleConn(peer)
+	conn.SetDeadline(time.Now().Add(10 * time.Second))
+	fmt.Fprintf(conn, "%s\n", helloLine)
+	line, err := bufio.NewReader(conn).ReadBytes('\n')
+	if err != nil {
+		t.Fatalf("reading welcome: %v", err)
+	}
+	var w welcome
+	if err := json.Unmarshal(line, &w); err != nil {
+		t.Fatalf("bad welcome %q: %v", line, err)
+	}
+	return w
+}
+
+// TestWelcomeCodes drives every rejection path of the handshake and
+// checks its code.
+func TestWelcomeCodes(t *testing.T) {
+	srv, err := New("127.0.0.1:0", Config{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer srv.Close()
+	routed, err := New("127.0.0.1:0", Config{Router: codeRouter{}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer routed.Close()
+	live, err := Dial(srv.Addr(), "held")
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer live.Abandon()
+
+	hello := func(session string) string {
+		return fmt.Sprintf(`{"proto":%q,"version":%d,"session":%q}`, ProtoName, ProtoVersion, session)
+	}
+	cases := []struct {
+		name    string
+		srv     *Server
+		hello   string
+		code    string
+		closing bool
+	}{
+		{name: "garbage", srv: srv, hello: "garbage", code: codeBadHandshake},
+		{name: "wrong-proto", srv: srv, hello: `{"proto":"nope","version":2,"session":"a"}`, code: codeBadHandshake},
+		{name: "bad-admin", srv: srv, hello: `{"proto":"` + AdminProtoName + `","verb":7}`, code: codeBadHandshake},
+		{name: "version-1", srv: srv, hello: `{"proto":"goldilocks-service","version":1,"session":"a"}`, code: codeBadVersion},
+		{name: "bad-session", srv: srv, hello: hello("../escape"), code: codeBadSession},
+		{name: "busy", srv: srv, hello: hello("held"), code: codeBusy},
+		{name: "not-owner", srv: routed, hello: hello("a"), code: codeNotOwner},
+		{name: "shutting-down", srv: srv, hello: hello("b"), code: codeShuttingDown, closing: true},
+	}
+	for _, c := range cases {
+		t.Run(c.name, func(t *testing.T) {
+			setClosing := func(v bool) {
+				srv.mu.Lock()
+				srv.closing = v
+				srv.mu.Unlock()
+			}
+			if c.closing {
+				setClosing(true)
+				defer setClosing(false)
+			}
+			w := readWelcome(t, c.srv, c.hello)
+			if w.OK || w.Code != c.code || w.Error == "" {
+				t.Fatalf("welcome = %+v, want a refusal with code %q", w, c.code)
+			}
+			if c.code == codeNotOwner && w.Owner != "owner:1" {
+				t.Fatalf("not_owner welcome names owner %q, want owner:1", w.Owner)
+			}
+		})
+	}
+}
+
+// TestDialRetriesOnlyTransientCodes: against a daemon that refuses
+// every hello with one code, DialContext spends its whole attempt
+// budget on busy and shutting_down and gives up after one attempt on
+// every other code and on a refusal without a code.
+func TestDialRetriesOnlyTransientCodes(t *testing.T) {
+	for _, c := range []struct {
+		code  string
+		tries int32
+	}{
+		{codeBusy, 3}, {codeShuttingDown, 3},
+		{codeBadHandshake, 1}, {codeBadVersion, 1}, {codeBadSession, 1}, {codeNotOwner, 1}, {"", 1},
+	} {
+		t.Run("code="+c.code, func(t *testing.T) {
+			ln, err := net.Listen("tcp", "127.0.0.1:0")
+			if err != nil {
+				t.Fatal(err)
+			}
+			defer ln.Close()
+			var dials atomic.Int32
+			go func() {
+				for {
+					conn, err := ln.Accept()
+					if err != nil {
+						return
+					}
+					dials.Add(1)
+					bufio.NewReader(conn).ReadBytes('\n')
+					b, _ := json.Marshal(welcome{Code: c.code, Error: "refused"})
+					conn.Write(append(b, '\n'))
+					conn.Close()
+				}
+			}()
+			_, err = DialContext(context.Background(), ln.Addr().String(), "s",
+				DialConfig{Attempts: 3, BaseDelay: time.Millisecond})
+			if err == nil {
+				t.Fatal("dial succeeded against a refusing daemon")
+			}
+			if got := dials.Load(); got != c.tries {
+				t.Fatalf("%d dials, want %d (err %v)", got, c.tries, err)
+			}
+		})
 	}
 }
